@@ -77,6 +77,17 @@ echo "$batch_out" | grep -q '"coresidency":' || {
   exit 1
 }
 
+echo "==> artifact gate: committed small-N figures regenerate byte-for-byte"
+# Simulated statistics are deterministic, so any drift in these files is a
+# change to the simulator's output, not noise.
+for exp in trace targeted sumstore; do
+  (cd "$batch_dir" && "$repo_root/target/release/figures" "$exp" --apps 20 >/dev/null)
+  cmp -s "$batch_dir/BENCH_$exp.json" "BENCH_$exp.json" || {
+    echo "artifact gate: BENCH_$exp.json differs from 'figures $exp --apps 20'" >&2
+    exit 1
+  }
+done
+
 echo "==> targeted smoke: sliced sweep is byte-deterministic and verdicts agree"
 (cd "$batch_dir" && "$repo_root/target/release/figures" targeted --apps 8 >/dev/null && mv BENCH_targeted.json ta.json)
 (cd "$batch_dir" && "$repo_root/target/release/figures" targeted --apps 8 >/dev/null && mv BENCH_targeted.json tb.json)
