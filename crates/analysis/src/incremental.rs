@@ -73,13 +73,7 @@ pub fn analyze_app_incremental(
     let mut dirty: HashSet<MethodId> = HashSet::new();
 
     for layer_idx in 0..layers.layer_count() {
-        let sccs: Vec<&Vec<MethodId>> = layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| layers.scc_layer[*i] as usize == layer_idx)
-            .map(|(_, m)| m)
-            .collect();
+        let sccs: Vec<&[MethodId]> = layers.sccs_in(layer_idx).collect();
         for scc in sccs {
             let needs_solve = scc.iter().any(|m| {
                 changed_set.contains(m)

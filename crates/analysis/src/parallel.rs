@@ -49,13 +49,7 @@ pub fn analyze_app_parallel(
     let mut bytes_per_method: HashMap<MethodId, usize> = HashMap::new();
 
     for layer_idx in 0..layers.layer_count() {
-        let sccs: Vec<&Vec<MethodId>> = layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| layers.scc_layer[*i] as usize == layer_idx)
-            .map(|(_, m)| m)
-            .collect();
+        let sccs: Vec<&[MethodId]> = layers.sccs_in(layer_idx).collect();
 
         // Solve all SCCs of this layer in parallel; each SCC iterates its
         // own summary fixed point internally.

@@ -282,13 +282,7 @@ pub fn analyze_app_presolved(
     // Bottom-up over layers; within a layer, SCC by SCC.
     for layer_idx in 0..layers.layer_count() {
         // SCCs whose layer is this one.
-        let sccs: Vec<&Vec<MethodId>> = layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| layers.scc_layer[*i] as usize == layer_idx)
-            .map(|(_, m)| m)
-            .collect();
+        let sccs: Vec<&[MethodId]> = layers.sccs_in(layer_idx).collect();
         for scc in sccs {
             // Iterate the SCC until its summaries stabilize. Singleton,
             // non-recursive SCCs converge in one pass.

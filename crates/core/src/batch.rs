@@ -152,14 +152,8 @@ impl<'a> AppCursor<'a> {
 
     /// The initial pending set of one layer, in the solo driver's order.
     fn layer_pending(&self, layer_idx: usize) -> Vec<MethodId> {
-        let mut pending: Vec<MethodId> = self
-            .layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.layers.scc_layer[*i] as usize == layer_idx)
-            .flat_map(|(_, members)| members.iter().copied())
-            .collect();
+        let mut pending: Vec<MethodId> =
+            self.layers.sccs_in(layer_idx).flatten().copied().collect();
         pending.sort_unstable();
         pending
     }
@@ -185,15 +179,13 @@ impl<'a> AppCursor<'a> {
     fn advance(&mut self, changed: &HashSet<MethodId>) {
         let mut next: Vec<MethodId> = self
             .layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, members)| {
-                self.layers.scc_layer[*i] as usize == self.layer_idx
-                    && (members.len() > 1 || self.layers.is_recursive(members[0], self.app.cg))
+            .sccs_in(self.layer_idx)
+            .filter(|members| {
+                (members.len() > 1 || self.layers.is_recursive(members[0], self.app.cg))
                     && members.iter().any(|m| changed.contains(m))
             })
-            .flat_map(|(_, members)| members.iter().copied())
+            .flatten()
+            .copied()
             .collect();
         next.sort_unstable();
         next.dedup();

@@ -253,20 +253,13 @@ fn gpu_analyze_app_restricted_on(
     }
 
     for layer_idx in 0..layers.layer_count() {
-        let layer_sccs: Vec<&Vec<MethodId>> = layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| layers.scc_layer[*i] as usize == layer_idx)
-            .map(|(_, m)| m)
-            .collect();
-
         // Methods still needing a solve in this layer (SCC iteration).
         // Pre-solved leaves are scheduled (they occupy layer slots) but
         // never launch.
-        let mut pending: Vec<MethodId> = layer_sccs
-            .iter()
-            .flat_map(|s| s.iter().copied())
+        let mut pending: Vec<MethodId> = layers
+            .sccs_in(layer_idx)
+            .flatten()
+            .copied()
             .filter(|m| !leaf_set.contains(m))
             .collect();
         pending.sort_unstable();
@@ -387,13 +380,14 @@ fn gpu_analyze_app_restricted_on(
             }
 
             // Only recursive SCCs with changed summaries re-launch.
-            pending = layer_sccs
-                .iter()
+            pending = layers
+                .sccs_in(layer_idx)
                 .filter(|scc| {
                     (scc.len() > 1 || layers.is_recursive(scc[0], cg))
                         && scc.iter().any(|m| changed_methods.contains(m))
                 })
-                .flat_map(|s| s.iter().copied())
+                .flatten()
+                .copied()
                 .filter(|m| !leaf_set.contains(m))
                 .collect();
             pending.sort_unstable();

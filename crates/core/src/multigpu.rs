@@ -170,15 +170,7 @@ pub fn gpu_analyze_app_multi(
     let mut balance_samples = 0usize;
 
     for layer_idx in 0..layers.layer_count() {
-        let layer_sccs: Vec<&Vec<MethodId>> = layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| layers.scc_layer[*i] as usize == layer_idx)
-            .map(|(_, m)| m)
-            .collect();
-        let mut pending: Vec<MethodId> =
-            layer_sccs.iter().flat_map(|s| s.iter().copied()).collect();
+        let mut pending: Vec<MethodId> = layers.sccs_in(layer_idx).flatten().copied().collect();
         pending.sort_unstable();
 
         while !pending.is_empty() {
@@ -288,13 +280,14 @@ pub fn gpu_analyze_app_multi(
             }
 
             // SCC re-iteration, as in the single-GPU driver.
-            pending = layer_sccs
-                .iter()
+            pending = layers
+                .sccs_in(layer_idx)
                 .filter(|scc| {
                     (scc.len() > 1 || layers.is_recursive(scc[0], cg))
                         && scc.iter().any(|m| changed_methods.contains(m))
                 })
-                .flat_map(|s| s.iter().copied())
+                .flatten()
+                .copied()
                 .collect();
             pending.sort_unstable();
             pending.dedup();

@@ -32,6 +32,8 @@ pub struct CallLayers {
     pub scc_layer: Vec<u32>,
     /// Methods grouped by layer, bottom-up: `layers[0]` are leaves.
     pub layers: Vec<Vec<MethodId>>,
+    /// SCCs grouped by layer, bottom-up, each layer in SCC id order.
+    layer_sccs: Vec<Vec<SccId>>,
 }
 
 impl CallLayers {
@@ -151,21 +153,34 @@ impl CallLayers {
 
         let max_layer = scc_layer.iter().copied().max().unwrap_or(0);
         let mut layers: Vec<Vec<MethodId>> = vec![Vec::new(); max_layer as usize + 1];
+        let mut layer_sccs: Vec<Vec<SccId>> = vec![Vec::new(); max_layer as usize + 1];
         for (scc_idx, members) in tarjan.members.iter().enumerate() {
             let l = scc_layer[scc_idx] as usize;
             layers[l].extend(members.iter().copied());
+            layer_sccs[l].push(SccId(scc_idx as u32));
         }
         // Deterministic order inside each layer.
         for l in &mut layers {
             l.sort_unstable();
         }
 
-        CallLayers { scc_of: tarjan.scc_of, scc_members: tarjan.members, scc_layer, layers }
+        CallLayers {
+            scc_of: tarjan.scc_of,
+            scc_members: tarjan.members,
+            scc_layer,
+            layers,
+            layer_sccs,
+        }
     }
 
     /// Number of layers.
     pub fn layer_count(&self) -> usize {
         self.layers.len()
+    }
+
+    /// Member lists of the SCCs in one layer, in SCC id order.
+    pub fn sccs_in(&self, layer: usize) -> impl Iterator<Item = &[MethodId]> + '_ {
+        self.layer_sccs[layer].iter().map(|s| self.scc_members[s.0 as usize].as_slice())
     }
 
     /// The layer of a method.
@@ -390,6 +405,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sccs_in_groups_every_scc_by_its_layer() {
+        // m0 -> m1 <-> m2 -> m3, m0 -> m4.
+        let (p, m) = call_chain(5, &[(0, 1), (1, 2), (2, 1), (2, 3), (0, 4)]);
+        let cg = CallGraph::build(&p);
+        let layers = CallLayers::compute(&cg, &[m[0]]);
+        let mut seen = 0;
+        for layer in 0..layers.layer_count() {
+            let mut methods: Vec<MethodId> = layers.sccs_in(layer).flatten().copied().collect();
+            methods.sort_unstable();
+            assert_eq!(methods, layers.layers[layer], "layer {layer}");
+            for scc in layers.sccs_in(layer) {
+                assert_eq!(scc, layers.scc_members[layers.scc_of[&scc[0]].0 as usize]);
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, layers.scc_members.len());
+        assert_eq!(layers.sccs_in(1).collect::<Vec<_>>(), vec![&[m[1], m[2]][..]]);
     }
 
     #[test]
