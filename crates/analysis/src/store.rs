@@ -152,6 +152,17 @@ impl NodeFacts {
         changed
     }
 
+    /// Unions another bitmap in; returns how many facts were newly set.
+    pub fn union_count(&mut self, other: &NodeFacts) -> usize {
+        debug_assert_eq!(self.geometry, other.geometry);
+        let mut inserted = 0;
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            inserted += (o & !*w).count_ones() as usize;
+            *w |= o;
+        }
+        inserted
+    }
+
     /// Number of facts set.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -341,9 +352,8 @@ impl FactStore for MatrixStore {
     }
 
     fn union_into(&mut self, node: usize, facts: &NodeFacts) -> UnionOutcome {
-        let before = self.nodes[node].count();
-        let changed = self.nodes[node].union(facts);
-        UnionOutcome { changed, inserted: self.nodes[node].count() - before, reallocations: 0 }
+        let inserted = self.nodes[node].union_count(facts);
+        UnionOutcome { changed: inserted > 0, inserted, reallocations: 0 }
     }
 
     fn seed(&mut self, node: usize, facts: &[Fact]) {
@@ -430,6 +440,11 @@ mod tests {
         assert!(a.union(&b));
         assert!(!a.union(&b), "second union is a no-op");
         assert_eq!(a.count(), 1);
+        b.set(Fact { slot: 9, instance: 6 });
+        b.set(Fact { slot: 0, instance: 2 });
+        assert_eq!(a.union_count(&b), 2, "only the two fresh bits count");
+        assert_eq!(a.union_count(&b), 0);
+        assert_eq!(a.count(), 3);
     }
 
     #[test]

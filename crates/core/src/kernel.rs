@@ -18,10 +18,10 @@
 use crate::layout::MethodLayout;
 use crate::opts::OptConfig;
 use gdroid_analysis::{
-    CallResolution, FactStore, MatrixStore, MethodSpace, MethodSummary, TransferCtx,
-    WorklistTelemetry,
+    CallResolution, FactStore, MatrixStore, MethodSpace, MethodSummary, NodeFacts, TransferCtx,
+    TransferEffort, WorklistTelemetry,
 };
-use gdroid_gpusim::{AccessOrder, BlockCtx, LaneWork};
+use gdroid_gpusim::{AccessOrder, BlockCtx, CellFootprint, LaneWork};
 use gdroid_icfg::Cfg;
 use gdroid_ir::{Method, StmtIdx};
 use std::collections::HashMap;
@@ -106,6 +106,8 @@ pub fn run_method_block(
     let mut visited = vec![false; cfg.len()];
     visited[cfg.entry() as usize] = true;
     let mut in_next = vec![false; cfg.len()];
+    // Footprint bitmaps handed back after each warp, reused by later lanes.
+    let mut pool: Vec<Vec<u64>> = Vec::new();
 
     while !current.is_empty() {
         telemetry.rounds += 1;
@@ -128,30 +130,27 @@ pub fn run_method_block(
         // updates only become visible to the *next* round. (The CPU solver
         // is naturally Gauss–Seidel; both reach the same unique fixed
         // point, but the GPU needs more processings — the redundancy MER
-        // then removes by postponing the tail.)
-        let round_outs: Vec<(
-            u32,
-            gdroid_analysis::NodeFacts,
-            gdroid_analysis::NodeFacts,
-            gdroid_analysis::TransferEffort,
-        )> = head
+        // then removes by postponing the tail.) Under MAT the round-start
+        // in-facts also fix the lane's read footprint, so it is taken here.
+        let mut round_outs: Vec<RoundOut> = head
             .iter()
             .map(|&node| {
-                let input = store.snapshot(node as usize);
+                let input = store.node(node as usize);
                 let (out, effort) = match cfg.stmt_of(node) {
-                    Some(stmt_idx) => tctx.transfer(stmt_idx, &input),
+                    Some(stmt_idx) => tctx.transfer(stmt_idx, input),
                     None => (input.clone(), Default::default()),
                 };
-                (node, input, out, effort)
+                let reads = opts.mat.then(|| {
+                    mat_reads(pool.pop().unwrap_or_default(), input, &out, cfg.succ(node).len())
+                });
+                RoundOut { node, out, effort, reads }
             })
             .collect();
 
         let mut dests: Vec<u32> = Vec::new();
-        for chunk in round_outs.chunks(warp) {
-            let inputs_counts: Vec<&gdroid_analysis::NodeFacts> =
-                chunk.iter().map(|(_, input, _, _)| input).collect();
+        for chunk in round_outs.chunks_mut(warp) {
             let mut lanes: Vec<LaneWork> = Vec::with_capacity(chunk.len());
-            for (lane_idx, (node, _input, out, effort)) in chunk.iter().enumerate() {
+            for RoundOut { node, out, effort, reads } in chunk.iter_mut() {
                 let (node, effort) = (*node, *effort);
                 telemetry.nodes_processed += 1;
                 telemetry.word_ops += geometry.words();
@@ -186,11 +185,17 @@ pub fn run_method_block(
                 // (slot, instance); a node's in-facts are the cells whose
                 // bit `node` is set, so the traffic is proportional to the
                 // facts present, not to the matrix size — the paper's
-                // fixed-size "entry looking-up" (§IV-A). Without MAT the
-                // whole set chunk is scanned.
-                if opts.mat {
-                    lane.bytes_read +=
-                        cell_addrs(&mut lane.reads, layout, inputs_counts[lane_idx], cell_bytes);
+                // fixed-size "entry looking-up" (§IV-A). Each propagation
+                // then bit-tests the out-fact cells; both are read as one
+                // footprint over the matrix. Without MAT the whole set
+                // chunk is scanned.
+                if let Some(MatReads { cells, facts }) = reads.take() {
+                    lane.bytes_read += facts * cell_bytes;
+                    lane.read_cells = Some(CellFootprint {
+                        base: layout.facts.base,
+                        stride: cell_bytes,
+                        words: cells,
+                    });
                 } else {
                     let s = set_states[node as usize];
                     lane.bytes_read += stream_addrs(&mut lane.reads, s.base, s.cap * 8);
@@ -205,9 +210,9 @@ pub fn run_method_block(
 
                     if opts.mat {
                         // Each propagated fact ORs the successor's bit into
-                        // its cell: traffic is the out-fact cells (reads:
-                        // bit tests; writes: only newly inserted bits).
-                        lane.bytes_read += cell_addrs(&mut lane.reads, layout, out, cell_bytes);
+                        // its cell (the bit-test reads are in the lane's
+                        // footprint). One write per inserted fact, charged
+                        // at the first `inserted` cells of the out-set.
                         let mut written = 0u64;
                         for fact in out.iter().take(outcome.inserted) {
                             lane.writes.push(cell_addr(layout, fact, insts, cell_bytes));
@@ -270,6 +275,7 @@ pub fn run_method_block(
                 lanes.push(lane);
             }
             ctx.warp_process(&lanes);
+            pool.extend(lanes.into_iter().filter_map(|l| l.read_cells).map(|c| c.words));
         }
         ctx.sync();
 
@@ -308,37 +314,43 @@ fn cell_addr(
     layout.facts.base + (u64::from(fact.slot) * insts + u64::from(fact.instance)) * cell_bytes
 }
 
-/// Appends the cell addresses behind a fact bitmap, one sample per 128-byte
-/// line actually touched; returns the useful bytes.
-fn cell_addrs(
-    out: &mut Vec<u64>,
-    layout: &MethodLayout,
-    facts: &gdroid_analysis::NodeFacts,
-    cell_bytes: u64,
-) -> u64 {
-    let insts = facts.geometry().insts.max(1) as u64;
-    let mut bytes = 0;
-    let mut last_line = u64::MAX;
-    for fact in facts.iter() {
-        let addr = cell_addr_base(layout, fact, insts, cell_bytes);
-        bytes += cell_bytes;
-        let line = addr / 128;
-        if line != last_line {
-            out.push(addr);
-            last_line = line;
-        }
-    }
-    bytes
+/// One head node's round-start transfer result.
+struct RoundOut {
+    node: u32,
+    out: NodeFacts,
+    effort: TransferEffort,
+    /// The MAT read footprint (`None` for the set-store kernel).
+    reads: Option<MatReads>,
 }
 
-#[inline]
-fn cell_addr_base(
-    layout: &MethodLayout,
-    fact: gdroid_analysis::Fact,
-    insts: u64,
-    cell_bytes: u64,
-) -> u64 {
-    layout.facts.base + (u64::from(fact.slot) * insts + u64::from(fact.instance)) * cell_bytes
+/// A MAT lane's reads: its in-fact cells, plus its out-fact cells when it
+/// propagates to at least one successor.
+struct MatReads {
+    /// Cell bitmap read (bit = cell index = fact bit).
+    cells: Vec<u64>,
+    /// Cells read counting repeats: in-facts once, out-facts once per
+    /// successor.
+    facts: u64,
+}
+
+fn mat_reads(
+    mut cells: Vec<u64>,
+    input: &NodeFacts,
+    out: &NodeFacts,
+    successors: usize,
+) -> MatReads {
+    let succ = successors as u64;
+    let mut facts = 0u64;
+    cells.clear();
+    cells.extend(input.words().iter().zip(out.words()).map(|(&i, &o)| {
+        facts += u64::from(i.count_ones()) + succ * u64::from(o.count_ones());
+        if succ > 0 {
+            i | o
+        } else {
+            i
+        }
+    }));
+    MatReads { cells, facts }
 }
 
 /// Appends one address per 128-byte line of a `[base, base+len)` stream;

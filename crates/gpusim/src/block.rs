@@ -10,15 +10,16 @@
 //!   like a SIMT reconvergence stack. A warp of 25 different statement
 //!   types pays ~25 serialized passes; a GRP-sorted warp pays 1–3.
 //! * **memory coalescing** — each group's reads/writes are collapsed into
-//!   128-byte transactions ([`crate::memory::transactions`]); lanes in
-//!   different divergence groups cannot coalesce with each other.
+//!   128-byte transactions (the distinct lines its addresses and
+//!   [`CellFootprint`]s touch); lanes in different divergence groups
+//!   cannot coalesce with each other.
 //! * **dependent latency** — double-de-reference lanes (`x.f`, `a[i]`)
 //!   pay pointer-chasing latency that other warps cannot hide.
 //! * **dynamic allocation** — `malloc` requests route to the shared
 //!   [`crate::memory::DeviceHeap`] and pay the serialized, contended path.
 
 use crate::config::DeviceConfig;
-use crate::memory::{transactions, DevAddr, DeviceBuffer, DeviceHeap};
+use crate::memory::{CellFootprint, DevAddr, DeviceBuffer, DeviceHeap, LineCounter};
 use crate::sancheck::{AccessOrder, Sanitizer};
 
 /// The work one lane performs in one warp-synchronous step.
@@ -31,14 +32,19 @@ pub struct LaneWork {
     pub compute_cycles: u64,
     /// Global addresses read.
     pub reads: Vec<DevAddr>,
+    /// Reads of one cell array given as a bitmap, on top of `reads`: the
+    /// compact form of a bitmap-indexed access (one address per set cell)
+    /// that costs the same transactions without listing the addresses.
+    pub read_cells: Option<CellFootprint>,
     /// Global addresses written.
     pub writes: Vec<DevAddr>,
     /// Dependent de-reference depth (GRP's 0/1/2 classification).
     pub deref_layers: u32,
     /// Dynamic allocations requested (byte sizes).
     pub mallocs: Vec<u64>,
-    /// Useful bytes behind `reads` (for the ideal-coalescing metric).
-    /// When 0, 8 bytes per address are assumed.
+    /// Useful bytes behind `reads` and `read_cells` (for the
+    /// ideal-coalescing metric). When 0, 8 bytes per address and per
+    /// footprint cell are assumed.
     pub bytes_read: u64,
     /// Useful bytes behind `writes`.
     pub bytes_written: u64,
@@ -104,6 +110,10 @@ pub struct BlockCtx<'a> {
     san: Option<&'a mut Sanitizer>,
     /// Counters.
     pub stats: BlockStats,
+    /// Scratch: lane indices ordered by divergence group.
+    lane_order: Vec<usize>,
+    /// Scratch: the coalescing model's line buffers.
+    lines: LineCounter,
 }
 
 /// Fixed issue overhead per warp-synchronous step.
@@ -117,7 +127,15 @@ impl<'a> BlockCtx<'a> {
         resident_blocks: usize,
         san: Option<&'a mut Sanitizer>,
     ) -> BlockCtx<'a> {
-        BlockCtx { config, heap, resident_blocks, san, stats: BlockStats::default() }
+        BlockCtx {
+            config,
+            heap,
+            resident_blocks,
+            san,
+            stats: BlockStats::default(),
+            lane_order: Vec::new(),
+            lines: LineCounter::default(),
+        }
     }
 
     /// The device configuration.
@@ -146,35 +164,44 @@ impl<'a> BlockCtx<'a> {
         if lanes.is_empty() {
             return;
         }
+        let line_bytes = self.config.transaction_bytes;
         if let Some(san) = self.san.as_mut() {
-            san.on_warp(lanes);
+            san.on_warp(lanes, line_bytes);
         }
         self.stats.warp_steps += 1;
         self.stats.cycles += WARP_ISSUE_CYCLES;
 
-        // Group lanes by partition, preserving deterministic order.
-        let mut partitions: Vec<u32> = lanes.iter().map(|l| l.partition).collect();
-        partitions.sort_unstable();
-        partitions.dedup();
+        // Group lanes by partition: groups run in ascending partition
+        // order, lanes within a group in lane order.
+        let mut order = std::mem::take(&mut self.lane_order);
+        order.clear();
+        order.extend(0..lanes.len());
+        order.sort_unstable_by_key(|&i| (lanes[i].partition, i));
 
         let mut total_bytes_read_written = 0u64;
-        for &p in &partitions {
+        for group in order.chunk_by(|&a, &b| lanes[a].partition == lanes[b].partition) {
             self.stats.divergence_passes += 1;
-            let group: Vec<&LaneWork> = lanes.iter().filter(|l| l.partition == p).collect();
+            let group = || group.iter().map(|&i| &lanes[i]);
 
             // Lockstep compute: the group takes its slowest lane.
-            let compute = group.iter().map(|l| l.compute_cycles).max().unwrap_or(0);
+            let compute = group().map(|l| l.compute_cycles).max().unwrap_or(0);
             self.stats.cycles += compute;
 
             // Coalescing within the group only.
-            let reads: Vec<DevAddr> = group.iter().flat_map(|l| l.reads.iter().copied()).collect();
-            let writes: Vec<DevAddr> =
-                group.iter().flat_map(|l| l.writes.iter().copied()).collect();
-            let tx = transactions(self.config, &reads) + transactions(self.config, &writes);
+            let reads = self
+                .lines
+                .count(line_bytes, group().map(|l| (&l.reads[..], l.read_cells.as_ref())));
+            let writes = self.lines.count(line_bytes, group().map(|l| (&l.writes[..], None)));
+            let tx = reads + writes;
             self.stats.transactions += tx;
             self.stats.cycles += tx * self.config.transaction_cycles;
-            for l in &group {
-                let br = if l.bytes_read == 0 { l.reads.len() as u64 * 8 } else { l.bytes_read };
+            for l in group() {
+                let br = if l.bytes_read == 0 {
+                    (l.reads.len() as u64 + l.read_cells.as_ref().map_or(0, CellFootprint::cells))
+                        * 8
+                } else {
+                    l.bytes_read
+                };
                 let bw =
                     if l.bytes_written == 0 { l.writes.len() as u64 * 8 } else { l.bytes_written };
                 total_bytes_read_written += br + bw;
@@ -183,13 +210,13 @@ impl<'a> BlockCtx<'a> {
             // Dependent de-reference latency (once per serialized pass —
             // the pointer chase stalls the whole group). Tracked separately
             // because co-resident blocks can hide it (see Device::pack).
-            let depth = group.iter().map(|l| l.deref_layers).max().unwrap_or(0) as u64;
+            let depth = group().map(|l| l.deref_layers).max().unwrap_or(0) as u64;
             let lat = depth * self.config.dependent_latency_cycles;
             self.stats.cycles += lat;
             self.stats.latency_cycles += lat;
 
             // Dynamic allocations: fully serialized.
-            for lane in &group {
+            for lane in group() {
                 for &bytes in &lane.mallocs {
                     let (buf, cost) = self.heap.malloc(self.config, bytes, self.resident_blocks);
                     if let Some(san) = self.san.as_mut() {
@@ -202,6 +229,7 @@ impl<'a> BlockCtx<'a> {
                 }
             }
         }
+        self.lane_order = order;
 
         // Ideal transaction count: all touched bytes in perfectly packed
         // 128-byte lines.
@@ -422,6 +450,7 @@ impl<'a> BlockCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn setup() -> (DeviceConfig, DeviceHeap) {
         (DeviceConfig::tesla_p40(), DeviceHeap::new())
@@ -625,6 +654,92 @@ mod tests {
         idle.queue_pop(0);
         idle.queue_push(0);
         assert_eq!(idle.stats, BlockStats::default());
+    }
+
+    /// One random lane: partition, explicit read offsets, footprint
+    /// (0 = none, 1 = array A, 2 = array B; bitmap words; 1 = sparse),
+    /// and whether it states its useful bytes (1) or leaves them implied.
+    type LaneSpec = (u32, Vec<u64>, (u8, Vec<u64>, u8), u8);
+
+    /// The footprint's cells as explicit start addresses.
+    fn expand(fp: &CellFootprint) -> Vec<DevAddr> {
+        let mut addrs = Vec::new();
+        for (wi, &w) in fp.words.iter().enumerate() {
+            for bit in 0..64 {
+                if w >> bit & 1 == 1 {
+                    addrs.push(fp.base + (wi as u64 * 64 + bit) * fp.stride);
+                }
+            }
+        }
+        addrs
+    }
+
+    proptest! {
+        /// A footprint lane costs exactly what the same lane with every set
+        /// cell's start address listed costs — every counter — and the
+        /// transactions equal a plain sort+dedup of those addresses' lines
+        /// per divergence group. Covers dense and sparse bitmaps, strides
+        /// wider than a line, spans of many lines, two cell arrays whose
+        /// lines interleave, explicit addresses mixed in, and several
+        /// partitions.
+        #[test]
+        fn footprint_lines_match_expanded_addresses(
+            strides in (1u64..400, 1u64..64),
+            bases in (0u64..4096, 0u64..4096),
+            lanes in prop::collection::vec(
+                (
+                    0u32..4,
+                    prop::collection::vec(0u64..60_000, 0..4),
+                    (0u8..3, prop::collection::vec(any::<u64>(), 0..6), 0u8..2),
+                    0u8..2,
+                ),
+                1..33,
+            ),
+        ) {
+            let arrays = [(0x10_000 + bases.0, strides.0), (0x10_000 + bases.1, strides.1)];
+            let specs: Vec<LaneSpec> = lanes;
+            let mut compact = Vec::new();
+            let mut expanded = Vec::new();
+            for (partition, offsets, (array, words, sparse), sized) in specs {
+                let reads: Vec<DevAddr> = offsets.iter().map(|o| arrays[0].0 + o).collect();
+                let read_cells = (array > 0).then(|| {
+                    let (base, stride) = arrays[usize::from(array) - 1];
+                    let words = words
+                        .iter()
+                        .map(|&w| if sparse == 1 { w & w.rotate_left(17) & w.rotate_left(41) } else { w })
+                        .collect();
+                    CellFootprint { base, stride, words }
+                });
+                let cells = read_cells.as_ref().map_or(Vec::new(), expand);
+                let bytes_read = if sized == 1 { 8 + 3 * (reads.len() + cells.len()) as u64 } else { 0 };
+                let lane = LaneWork { partition, reads, bytes_read, ..Default::default() };
+                let mut flat = lane.clone();
+                flat.reads.extend(cells);
+                expanded.push(flat);
+                compact.push(LaneWork { read_cells, ..lane });
+            }
+
+            let (cfg, mut heap) = setup();
+            let mut a = BlockCtx::new(&cfg, &mut heap, 1, None);
+            a.warp_process(&compact);
+            let compact_stats = a.stats;
+            let mut b = BlockCtx::new(&cfg, &mut heap, 1, None);
+            b.warp_process(&expanded);
+            prop_assert_eq!(compact_stats, b.stats);
+
+            let mut reference = 0u64;
+            for p in 0..4 {
+                let mut lines: Vec<u64> = expanded
+                    .iter()
+                    .filter(|l| l.partition == p)
+                    .flat_map(|l| l.reads.iter().map(|a| a / cfg.transaction_bytes))
+                    .collect();
+                lines.sort_unstable();
+                lines.dedup();
+                reference += lines.len() as u64;
+            }
+            prop_assert_eq!(compact_stats.transactions, reference);
+        }
     }
 
     #[test]

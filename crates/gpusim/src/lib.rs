@@ -12,7 +12,7 @@
 //! | frequent dynamic memory allocation | [`memory::DeviceHeap`]: serialized, contended `malloc` path |
 //! | large branch divergence | [`block::BlockCtx::warp_process`]: lanes grouped by branch partition, groups serialized |
 //! | load imbalance | [`device::Device::launch`]: greedy block packing onto `SM × blocks-per-SM` slots; makespan exposes idle slots |
-//! | irregular memory access | [`memory::transactions`]: 128-byte coalescing within each divergence group |
+//! | irregular memory access | [`block::BlockCtx::warp_process`]: 128-byte coalescing within each divergence group, over explicit addresses and [`memory::CellFootprint`] bitmaps |
 //!
 //! Kernels are written warp-centrically against [`block::BlockCtx`]; the
 //! GDroid kernels themselves live in `gdroid-core`.
@@ -27,6 +27,6 @@ pub mod stream;
 pub use block::{BlockCtx, BlockStats, LaneWork};
 pub use config::DeviceConfig;
 pub use device::{BlockFn, Device, DeviceFault, FaultPlan, KernelStats, SourcedKernelStats};
-pub use memory::{transactions, AddressSpace, DevAddr, DeviceBuffer, DeviceHeap};
+pub use memory::{AddressSpace, CellFootprint, DevAddr, DeviceBuffer, DeviceHeap};
 pub use sancheck::{AccessOrder, AccessSite, Finding, FindingKind, SanReport, Sanitizer};
 pub use stream::{dual_buffered, synchronous, PipelineTiming};

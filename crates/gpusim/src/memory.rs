@@ -57,19 +57,120 @@ impl AddressSpace {
     }
 }
 
-/// Counts the 128-byte transactions needed to serve a set of addresses
-/// from one warp-synchronous access — the coalescing model.
+/// A lane's reads of one planned cell array, given as a bitmap instead of
+/// an address list: set bit `i` of `words` reads the cell that starts at
+/// `base + i * stride`. Like an explicit address, a cell is charged at its
+/// start address, so a footprint costs exactly what the list of its cells'
+/// start addresses would — without materializing that list.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CellFootprint {
+    /// Start address of cell 0.
+    pub base: DevAddr,
+    /// Bytes from one cell's start to the next's.
+    pub stride: u64,
+    /// Cell bitmap, 64 cells per word (cell `i` is bit `i % 64` of word
+    /// `i / 64`).
+    pub words: Vec<u64>,
+}
+
+impl CellFootprint {
+    /// Number of cells read.
+    pub fn cells(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// Calls `f` once per `line_bytes` line the footprint touches, in
+    /// address order, with the start address of the first set cell in that
+    /// line. Skips from line to line, so the cost is one step per line
+    /// touched plus one per bitmap word, not one per cell.
+    pub fn for_each_line(&self, line_bytes: u64, mut f: impl FnMut(DevAddr)) {
+        let mut next = next_set_bit(&self.words, 0);
+        while let Some(cell) = next {
+            let addr = self.base + cell * self.stride;
+            f(addr);
+            if self.stride == 0 {
+                return;
+            }
+            // First cell starting at or past the next line boundary.
+            let line_end = (addr / line_bytes + 1) * line_bytes;
+            next = next_set_bit(&self.words, (line_end - self.base).div_ceil(self.stride));
+        }
+    }
+}
+
+/// Index of the first set bit at or after `from`, if any.
+fn next_set_bit(words: &[u64], from: u64) -> Option<u64> {
+    let mut wi = usize::try_from(from / 64).ok()?;
+    let mut w = *words.get(wi)? & (!0u64 << (from % 64));
+    loop {
+        if w != 0 {
+            return Some(wi as u64 * 64 + u64::from(w.trailing_zeros()));
+        }
+        wi += 1;
+        w = *words.get(wi)?;
+    }
+}
+
+/// The coalescing model: counts the `line_bytes` transactions needed to
+/// serve one warp-synchronous group's accesses — the distinct lines its
+/// explicit addresses and cell footprints touch.
 ///
 /// Perfectly coalesced: 32 consecutive 4-byte words → 1 transaction.
 /// Fully scattered: 32 random words → 32 transactions.
-pub fn transactions(config: &DeviceConfig, addrs: &[DevAddr]) -> u64 {
-    if addrs.is_empty() {
-        return 0;
+///
+/// Holds its buffers across calls so the per-group count allocates
+/// nothing once warmed up.
+#[derive(Debug, Default)]
+pub(crate) struct LineCounter {
+    lines: Vec<u64>,
+    merged: CellFootprint,
+}
+
+impl LineCounter {
+    /// Distinct lines touched by `accesses`: each item is one lane's
+    /// explicit addresses plus, optionally, its cell footprint.
+    ///
+    /// Footprints over the same cell array are ORed and walked once (the
+    /// lines of a union of bitmaps are the union of each bitmap's lines);
+    /// only explicit addresses and footprints over other arrays need the
+    /// sort-and-dedup of individual lines.
+    pub(crate) fn count<'l>(
+        &mut self,
+        line_bytes: u64,
+        accesses: impl Iterator<Item = (&'l [DevAddr], Option<&'l CellFootprint>)>,
+    ) -> u64 {
+        let lines = &mut self.lines;
+        let merged = &mut self.merged;
+        lines.clear();
+        merged.words.clear();
+        for (addrs, footprint) in accesses {
+            lines.extend(addrs.iter().map(|a| a / line_bytes));
+            let Some(fp) = footprint else { continue };
+            if merged.words.is_empty() {
+                merged.base = fp.base;
+                merged.stride = fp.stride;
+            }
+            if (merged.base, merged.stride) == (fp.base, fp.stride) {
+                if merged.words.len() < fp.words.len() {
+                    merged.words.resize(fp.words.len(), 0);
+                }
+                for (m, w) in merged.words.iter_mut().zip(&fp.words) {
+                    *m |= w;
+                }
+            } else {
+                fp.for_each_line(line_bytes, |a| lines.push(a / line_bytes));
+            }
+        }
+        if lines.is_empty() {
+            let mut n = 0;
+            merged.for_each_line(line_bytes, |_| n += 1);
+            return n;
+        }
+        merged.for_each_line(line_bytes, |a| lines.push(a / line_bytes));
+        lines.sort_unstable();
+        lines.dedup();
+        lines.len() as u64
     }
-    let mut segments: Vec<u64> = addrs.iter().map(|a| a / config.transaction_bytes).collect();
-    segments.sort_unstable();
-    segments.dedup();
-    segments.len() as u64
 }
 
 /// The device heap: dynamic allocations from kernel code (`malloc` in a
@@ -157,6 +258,11 @@ mod tests {
         assert_eq!(b.addr(9, 8), 0x1000 + 72);
     }
 
+    /// Transactions for one group of explicit addresses.
+    fn transactions(c: &DeviceConfig, addrs: &[DevAddr]) -> u64 {
+        LineCounter::default().count(c.transaction_bytes, std::iter::once((addrs, None)))
+    }
+
     #[test]
     fn coalesced_access_is_one_transaction() {
         let c = cfg();
@@ -180,6 +286,38 @@ mod tests {
         addrs.extend((0..16).map(|i| 0x9000 + i * 4));
         assert_eq!(transactions(&c, &addrs), 2);
         assert_eq!(transactions(&c, &[]), 0);
+    }
+
+    #[test]
+    fn footprint_walks_first_set_cell_of_each_line() {
+        // 48-byte cells: cells 0..=2 start in line 0, 3..=5 in line 1.
+        let fp = CellFootprint { base: 0x1000, stride: 48, words: vec![0b10_0110] };
+        let mut seen = Vec::new();
+        fp.for_each_line(128, |a| seen.push(a));
+        assert_eq!(seen, vec![0x1000 + 48, 0x1000 + 5 * 48]);
+        assert_eq!(fp.cells(), 3);
+        // A set bit past the first word still counts.
+        let wide = CellFootprint { base: 0, stride: 8, words: vec![0, 0, 1 << 63] };
+        let mut seen = Vec::new();
+        wide.for_each_line(128, |a| seen.push(a));
+        assert_eq!(seen, vec![191 * 8]);
+        let mut empty = 0;
+        CellFootprint::default().for_each_line(128, |_| empty += 1);
+        assert_eq!(empty, 0);
+    }
+
+    #[test]
+    fn footprints_over_one_array_union_before_counting() {
+        let a = CellFootprint { base: 0x2000, stride: 16, words: vec![0b1, 0] };
+        let b = CellFootprint { base: 0x2000, stride: 16, words: vec![0b11, 1] };
+        let mut counter = LineCounter::default();
+        // Cells 0, 1 share line 0; cell 64 is line 8: two lines, not three.
+        let both = [(&[][..], Some(&a)), (&[][..], Some(&b))];
+        assert_eq!(counter.count(128, both.into_iter()), 2);
+        // An explicit address in an already-touched line adds nothing; one
+        // in a fresh line adds one.
+        let mixed = [(&[0x2000 + 8][..], Some(&a)), (&[0x9000][..], Some(&b))];
+        assert_eq!(counter.count(128, mixed.into_iter()), 3);
     }
 
     #[test]

@@ -364,8 +364,9 @@ impl Sanitizer {
 
     /// Checks one warp step: barrier agreement plus every lane's global
     /// reads and writes. Lane order in `lanes` is the lane index reported
-    /// in findings.
-    pub(crate) fn on_warp(&mut self, lanes: &[LaneWork]) {
+    /// in findings. A cell footprint is checked once per `line_bytes` line
+    /// it touches, at the first set cell of that line.
+    pub(crate) fn on_warp(&mut self, lanes: &[LaneWork], line_bytes: u64) {
         if let Some(first) = lanes.first() {
             if let Some((lane, l)) =
                 lanes.iter().enumerate().find(|(_, l)| l.barrier != first.barrier)
@@ -378,6 +379,9 @@ impl Sanitizer {
         }
         for (lane, l) in lanes.iter().enumerate() {
             let site = self.site(lane as u32);
+            if let Some(cells) = &l.read_cells {
+                cells.for_each_line(line_bytes, |addr| self.check(addr, false, l.order, site));
+            }
             for &addr in &l.reads {
                 self.check(addr, false, l.order, site);
             }

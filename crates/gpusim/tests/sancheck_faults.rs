@@ -2,7 +2,9 @@
 //! toy-kernel bug — with exact lane/warp/round attribution — and must stay
 //! silent on the disciplined variant of the same kernel.
 
-use gdroid_gpusim::{AccessOrder, BlockCtx, BlockFn, Device, DeviceConfig, FindingKind, LaneWork};
+use gdroid_gpusim::{
+    AccessOrder, BlockCtx, BlockFn, CellFootprint, Device, DeviceConfig, FindingKind, LaneWork,
+};
 
 fn san_device() -> Device {
     Device::new(DeviceConfig::tiny().with_sanitizer())
@@ -142,6 +144,36 @@ fn use_after_free_is_reported() {
     }]);
     let report = dev.san_report().unwrap();
     assert_eq!(report.count(FindingKind::UseAfterFree), 1, "{report}");
+}
+
+#[test]
+fn footprint_overrunning_its_buffer_is_out_of_bounds() {
+    let mut dev = san_device();
+    // 16 cells of 16 bytes fill the buffer exactly.
+    let buf = dev.alloc_init(256);
+    let lane = |words: Vec<u64>| LaneWork {
+        read_cells: Some(CellFootprint { base: buf.base, stride: 16, words }),
+        order: AccessOrder::Atomic,
+        ..Default::default()
+    };
+    // In bounds: cells 0, 3 (line 0) and 15 (line 1) — two lines checked.
+    dev.launch(vec![move |ctx: &mut BlockCtx<'_>| {
+        ctx.warp_process(&[lane(vec![1 | 1 << 3 | 1 << 15])]);
+    }]);
+    let report = dev.san_report().unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.accesses_checked, 2, "one check per line touched");
+    // Cell 20 starts 64 bytes past the end, and is the first set cell of
+    // its line: the overrun is reported at its start address.
+    dev.launch(vec![move |ctx: &mut BlockCtx<'_>| {
+        ctx.warp_process(&[LaneWork::compute(0, 1), lane(vec![1 | 1 << 20])]);
+    }]);
+    let report = dev.san_report().unwrap();
+    assert_eq!(report.total(), 1, "{report}");
+    assert_eq!(report.count(FindingKind::OutOfBounds), 1);
+    let f = &report.findings[0];
+    assert_eq!(f.addr, buf.base + 20 * 16);
+    assert_eq!((f.site.warp, f.site.lane), (0, 1));
 }
 
 #[test]
