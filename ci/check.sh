@@ -22,6 +22,11 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
+echo "==> release binaries for the smokes (gdroid and figures)"
+# The tier-1 build covers only the root package; figures lives in
+# crates/bench.
+cargo build --release --workspace
+
 echo "==> serve smoke: 10 apps through the vetting service"
 serve_out=$(./target/release/gdroid serve --apps 10 --workers 2 --devices 2 --json)
 echo "$serve_out" | grep -q '"quarantined":0,' || {

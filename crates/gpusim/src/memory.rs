@@ -62,7 +62,7 @@ impl AddressSpace {
 /// `base + i * stride`. Like an explicit address, a cell is charged at its
 /// start address, so a footprint costs exactly what the list of its cells'
 /// start addresses would — without materializing that list.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct CellFootprint {
     /// Start address of cell 0.
     pub base: DevAddr,
@@ -75,7 +75,7 @@ pub struct CellFootprint {
 
 impl CellFootprint {
     /// Number of cells read.
-    pub fn cells(&self) -> u64 {
+    pub(crate) fn cells(&self) -> u64 {
         self.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
@@ -83,7 +83,7 @@ impl CellFootprint {
     /// address order, with the start address of the first set cell in that
     /// line. Skips from line to line, so the cost is one step per line
     /// touched plus one per bitmap word, not one per cell.
-    pub fn for_each_line(&self, line_bytes: u64, mut f: impl FnMut(DevAddr)) {
+    pub(crate) fn for_each_line(&self, line_bytes: u64, mut f: impl FnMut(DevAddr)) {
         let mut next = next_set_bit(&self.words, 0);
         while let Some(cell) = next {
             let addr = self.base + cell * self.stride;
