@@ -142,14 +142,7 @@ impl NodeFacts {
 
     /// Unions another bitmap in; returns whether anything changed.
     pub fn union(&mut self, other: &NodeFacts) -> bool {
-        debug_assert_eq!(self.geometry, other.geometry);
-        let mut changed = false;
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            let merged = *w | o;
-            changed |= merged != *w;
-            *w = merged;
-        }
-        changed
+        self.union_count(other) > 0
     }
 
     /// Unions another bitmap in; returns how many facts were newly set.

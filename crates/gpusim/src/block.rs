@@ -35,6 +35,7 @@ pub struct LaneWork {
     /// Reads of one cell array given as a bitmap, on top of `reads`: the
     /// compact form of a bitmap-indexed access (one address per set cell)
     /// that costs the same transactions without listing the addresses.
+    /// A lane with a footprint states its useful bytes in `bytes_read`.
     pub read_cells: Option<CellFootprint>,
     /// Global addresses written.
     pub writes: Vec<DevAddr>,
@@ -43,8 +44,8 @@ pub struct LaneWork {
     /// Dynamic allocations requested (byte sizes).
     pub mallocs: Vec<u64>,
     /// Useful bytes behind `reads` and `read_cells` (for the
-    /// ideal-coalescing metric). When 0, 8 bytes per address and per
-    /// footprint cell are assumed.
+    /// ideal-coalescing metric). When 0, 8 bytes per address in `reads`
+    /// are assumed.
     pub bytes_read: u64,
     /// Useful bytes behind `writes`.
     pub bytes_written: u64,
@@ -196,12 +197,7 @@ impl<'a> BlockCtx<'a> {
             self.stats.transactions += tx;
             self.stats.cycles += tx * self.config.transaction_cycles;
             for l in group() {
-                let br = if l.bytes_read == 0 {
-                    (l.reads.len() as u64 + l.read_cells.as_ref().map_or(0, CellFootprint::cells))
-                        * 8
-                } else {
-                    l.bytes_read
-                };
+                let br = if l.bytes_read == 0 { l.reads.len() as u64 * 8 } else { l.bytes_read };
                 let bw =
                     if l.bytes_written == 0 { l.writes.len() as u64 * 8 } else { l.bytes_written };
                 total_bytes_read_written += br + bw;
@@ -657,8 +653,9 @@ mod tests {
     }
 
     /// One random lane: partition, explicit read offsets, footprint
-    /// (0 = none, 1 = array A, 2 = array B; bitmap words; 1 = sparse),
-    /// and whether it states its useful bytes (1) or leaves them implied.
+    /// (1 = present; bitmap words; 1 = sparse), and whether an
+    /// explicit-only lane states its useful bytes (1) or leaves them
+    /// implied.
     type LaneSpec = (u32, Vec<u64>, (u8, Vec<u64>, u8), u8);
 
     /// The footprint's cells as explicit start addresses.
@@ -678,40 +675,44 @@ mod tests {
         /// A footprint lane costs exactly what the same lane with every set
         /// cell's start address listed costs — every counter — and the
         /// transactions equal a plain sort+dedup of those addresses' lines
-        /// per divergence group. Covers dense and sparse bitmaps, strides
-        /// wider than a line, spans of many lines, two cell arrays whose
-        /// lines interleave, explicit addresses mixed in, and several
-        /// partitions.
+        /// per divergence group. Covers dense and sparse bitmaps over one
+        /// cell array, strides wider than a line, spans of many lines,
+        /// explicit addresses landing inside and outside the array's lines,
+        /// and several partitions.
         #[test]
         fn footprint_lines_match_expanded_addresses(
-            strides in (1u64..400, 1u64..64),
-            bases in (0u64..4096, 0u64..4096),
+            stride in 1u64..400,
+            base in 0u64..4096,
             lanes in prop::collection::vec(
                 (
                     0u32..4,
                     prop::collection::vec(0u64..60_000, 0..4),
-                    (0u8..3, prop::collection::vec(any::<u64>(), 0..6), 0u8..2),
+                    (0u8..2, prop::collection::vec(any::<u64>(), 0..6), 0u8..2),
                     0u8..2,
                 ),
                 1..33,
             ),
         ) {
-            let arrays = [(0x10_000 + bases.0, strides.0), (0x10_000 + bases.1, strides.1)];
+            let base = 0x10_000 + base;
             let specs: Vec<LaneSpec> = lanes;
             let mut compact = Vec::new();
             let mut expanded = Vec::new();
-            for (partition, offsets, (array, words, sparse), sized) in specs {
-                let reads: Vec<DevAddr> = offsets.iter().map(|o| arrays[0].0 + o).collect();
-                let read_cells = (array > 0).then(|| {
-                    let (base, stride) = arrays[usize::from(array) - 1];
+            for (partition, offsets, (has_cells, words, sparse), sized) in specs {
+                let (has_cells, sparse, sized) = (has_cells == 1, sparse == 1, sized == 1);
+                let reads: Vec<DevAddr> = offsets.iter().map(|o| base + o).collect();
+                let read_cells = has_cells.then(|| {
                     let words = words
                         .iter()
-                        .map(|&w| if sparse == 1 { w & w.rotate_left(17) & w.rotate_left(41) } else { w })
+                        .map(|&w| if sparse { w & w.rotate_left(17) & w.rotate_left(41) } else { w })
                         .collect();
                     CellFootprint { base, stride, words }
                 });
                 let cells = read_cells.as_ref().map_or(Vec::new(), expand);
-                let bytes_read = if sized == 1 { 8 + 3 * (reads.len() + cells.len()) as u64 } else { 0 };
+                let bytes_read = if sized || has_cells {
+                    8 + 3 * (reads.len() + cells.len()) as u64
+                } else {
+                    0
+                };
                 let lane = LaneWork { partition, reads, bytes_read, ..Default::default() };
                 let mut flat = lane.clone();
                 flat.reads.extend(cells);

@@ -61,7 +61,9 @@ impl AddressSpace {
 /// an address list: set bit `i` of `words` reads the cell that starts at
 /// `base + i * stride`. Like an explicit address, a cell is charged at its
 /// start address, so a footprint costs exactly what the list of its cells'
-/// start addresses would — without materializing that list.
+/// start addresses would — without materializing that list. The stride is
+/// non-zero, and all footprints of one divergence group share one
+/// `(base, stride)`: the MAT kernel's fact matrix.
 #[derive(Clone, Debug, Default)]
 pub struct CellFootprint {
     /// Start address of cell 0.
@@ -74,11 +76,6 @@ pub struct CellFootprint {
 }
 
 impl CellFootprint {
-    /// Number of cells read.
-    pub(crate) fn cells(&self) -> u64 {
-        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
-    }
-
     /// Calls `f` once per `line_bytes` line the footprint touches, in
     /// address order, with the start address of the first set cell in that
     /// line. Skips from line to line, so the cost is one step per line
@@ -88,9 +85,6 @@ impl CellFootprint {
         while let Some(cell) = next {
             let addr = self.base + cell * self.stride;
             f(addr);
-            if self.stride == 0 {
-                return;
-            }
             // First cell starting at or past the next line boundary.
             let line_end = (addr / line_bytes + 1) * line_bytes;
             next = next_set_bit(&self.words, (line_end - self.base).div_ceil(self.stride));
@@ -130,10 +124,10 @@ impl LineCounter {
     /// Distinct lines touched by `accesses`: each item is one lane's
     /// explicit addresses plus, optionally, its cell footprint.
     ///
-    /// Footprints over the same cell array are ORed and walked once (the
-    /// lines of a union of bitmaps are the union of each bitmap's lines);
-    /// only explicit addresses and footprints over other arrays need the
-    /// sort-and-dedup of individual lines.
+    /// The footprints, all over one cell array, are ORed and walked once
+    /// (the lines of a union of bitmaps are the union of each bitmap's
+    /// lines); only explicit addresses need the sort-and-dedup of
+    /// individual lines.
     pub(crate) fn count<'l>(
         &mut self,
         line_bytes: u64,
@@ -146,19 +140,21 @@ impl LineCounter {
         for (addrs, footprint) in accesses {
             lines.extend(addrs.iter().map(|a| a / line_bytes));
             let Some(fp) = footprint else { continue };
+            debug_assert!(fp.stride > 0, "cell footprint with zero stride");
             if merged.words.is_empty() {
                 merged.base = fp.base;
                 merged.stride = fp.stride;
             }
-            if (merged.base, merged.stride) == (fp.base, fp.stride) {
-                if merged.words.len() < fp.words.len() {
-                    merged.words.resize(fp.words.len(), 0);
-                }
-                for (m, w) in merged.words.iter_mut().zip(&fp.words) {
-                    *m |= w;
-                }
-            } else {
-                fp.for_each_line(line_bytes, |a| lines.push(a / line_bytes));
+            debug_assert_eq!(
+                (merged.base, merged.stride),
+                (fp.base, fp.stride),
+                "footprints of one group must share a cell array"
+            );
+            if merged.words.len() < fp.words.len() {
+                merged.words.resize(fp.words.len(), 0);
+            }
+            for (m, w) in merged.words.iter_mut().zip(&fp.words) {
+                *m |= w;
             }
         }
         if lines.is_empty() {
@@ -295,7 +291,6 @@ mod tests {
         let mut seen = Vec::new();
         fp.for_each_line(128, |a| seen.push(a));
         assert_eq!(seen, vec![0x1000 + 48, 0x1000 + 5 * 48]);
-        assert_eq!(fp.cells(), 3);
         // A set bit past the first word still counts.
         let wide = CellFootprint { base: 0, stride: 8, words: vec![0, 0, 1 << 63] };
         let mut seen = Vec::new();
