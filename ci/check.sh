@@ -48,6 +48,22 @@ cmp -s "$trace_dir/a.json" "$trace_dir/b.json" || {
   echo "trace smoke: same-seed traces differ byte-for-byte" >&2
   exit 1
 }
+# A targeted, store-backed plan traces its device work and both instants,
+# not just the four stage spans.
+./target/release/gdroid vet 42 --targeted --sumstore "$trace_dir/store" \
+  --trace "$trace_dir/ts.json" >/dev/null 2>&1
+if ! python3 - "$trace_dir/ts.json" <<'PY'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+spans = [e for e in events if e["ph"] == "X"]
+instants = {e["name"] for e in events if e["ph"] == "i"}
+assert len(spans) > 4, f"only {len(spans)} spans: the device events are missing"
+assert {"targeted-slice", "sumstore"} <= instants, f"instants missing: {instants}"
+PY
+then
+  echo "trace smoke: targeted store-backed trace lacks device events or instants" >&2
+  exit 1
+fi
 
 echo "==> sumstore smoke: 10 apps cold then warm against one store"
 cold=$(./target/release/gdroid serve --apps 10 --workers 2 --devices 2 --sumstore "$store_dir" --digest)
@@ -82,13 +98,16 @@ echo "$batch_out" | grep -q '"coresidency":' || {
   exit 1
 }
 
-echo "==> artifact gate: committed small-N figures regenerate byte-for-byte"
+echo "==> artifact gate: committed figures regenerate byte-for-byte"
 # Simulated statistics are deterministic, so any drift in these files is a
-# change to the simulator's output, not noise.
-for exp in trace targeted sumstore; do
-  (cd "$batch_dir" && "$repo_root/target/release/figures" "$exp" --apps 20 >/dev/null)
+# change to the simulator's output, not noise. persist runs at its
+# default N (about a minute) and pins the persistent-kernel path.
+for args in "trace --apps 20" "targeted --apps 20" "sumstore --apps 20" "persist"; do
+  exp=${args%% *}
+  # shellcheck disable=SC2086 # $args is a word list on purpose
+  (cd "$batch_dir" && "$repo_root/target/release/figures" $args >/dev/null)
   cmp -s "$batch_dir/BENCH_$exp.json" "BENCH_$exp.json" || {
-    echo "artifact gate: BENCH_$exp.json differs from 'figures $exp --apps 20'" >&2
+    echo "artifact gate: BENCH_$exp.json differs from 'figures $args'" >&2
     exit 1
   }
 done

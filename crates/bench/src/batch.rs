@@ -16,7 +16,7 @@ use crate::corpus::corpus_preps;
 use gdroid_apk::GenConfig;
 use gdroid_core::OptConfig;
 use gdroid_gpusim::{Device, DeviceConfig};
-use gdroid_vetting::{execute_vetting_batch_on_device, execute_vetting_on_device, PreparedApp};
+use gdroid_vetting::{execute_vetting_batch_on_device, run, Plan, PreparedApp};
 
 /// One co-residency-degree measurement.
 pub struct BatchPoint {
@@ -121,10 +121,10 @@ pub fn batch_benchmark(apps: usize) -> (String, String) {
     let mut solo_refs = Vec::with_capacity(apps);
     let mut solo_ns = Vec::with_capacity(apps);
     for prep in &preps {
-        let run = execute_vetting_on_device(prep, &mut device, OptConfig::gdroid())
-            .expect("no fault plan installed");
-        solo_ns.push(run.outcome.timing.idfg_ns);
-        solo_refs.push(run.outcome.to_json());
+        let (solo, _) =
+            run(prep, &Plan::default(), &mut device, None).expect("no fault plan installed");
+        solo_ns.push(solo.outcome.timing.idfg_ns);
+        solo_refs.push(solo.outcome.to_json());
     }
 
     let points: Vec<BatchPoint> =

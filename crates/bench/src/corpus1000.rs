@@ -25,9 +25,8 @@ use gdroid_core::OptConfig;
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_serve::fnv1a;
 use gdroid_vetting::{
-    execute_vetting_batch_on_device, execute_vetting_on_device,
-    execute_vetting_on_device_with_store, execute_vetting_targeted_on_device, prepare_vetting,
-    PreparedApp,
+    execute_vetting_batch_on_device, execute_vetting_on_device_with_store, prepare_vetting, run,
+    Plan, PreparedApp,
 };
 
 /// Window size of the streamed sweep — also the largest batching degree.
@@ -218,31 +217,29 @@ pub fn corpus1000_benchmark(apps: usize, scale: f64) -> (String, String) {
         let mut gdroid_refs: Vec<String> = Vec::with_capacity(window.len());
         for (index, prep) in &window {
             for (r, (_, opt)) in RUNGS.iter().enumerate() {
-                let run = execute_vetting_on_device(prep, &mut devices[r], opt())
-                    .expect("no fault plan installed");
-                rung_ns[r] += run.outcome.timing.idfg_ns;
+                let plan = Plan { opts: opt(), ..Plan::default() };
+                let (rung, _) =
+                    run(prep, &plan, &mut devices[r], None).expect("no fault plan installed");
+                rung_ns[r] += rung.outcome.timing.idfg_ns;
                 if r == RUNGS.len() - 1 {
-                    solo_makespan_ns += run.outcome.timing.idfg_ns;
-                    suspicious += usize::from(!run.outcome.report.leaks.is_empty());
+                    solo_makespan_ns += rung.outcome.timing.idfg_ns;
+                    suspicious += usize::from(!rung.outcome.report.leaks.is_empty());
                     use std::fmt::Write;
                     writeln!(
                         verdict_lines,
                         "{:06} {} {:?} {:016x}",
                         index,
                         prep.app.manifest.package,
-                        run.outcome.report.verdict,
-                        fnv1a(run.outcome.report.to_json().as_bytes())
+                        rung.outcome.report.verdict,
+                        fnv1a(rung.outcome.report.to_json().as_bytes())
                     )
                     .expect("writing to String cannot fail");
-                    gdroid_refs.push(run.outcome.report.to_json());
+                    gdroid_refs.push(rung.outcome.report.to_json());
                 }
             }
-            let t = execute_vetting_targeted_on_device(
-                prep,
-                &mut devices[RUNGS.len()],
-                OptConfig::gdroid(),
-            )
-            .expect("no fault plan installed");
+            let targeted = Plan { targeted: true, ..Plan::default() };
+            let (t, _) = run(prep, &targeted, &mut devices[RUNGS.len()], None)
+                .expect("no fault plan installed");
             assert_eq!(
                 t.outcome.report.to_json(),
                 gdroid_refs.last().expect("gdroid rung ran first").as_str(),
@@ -281,8 +278,8 @@ pub fn corpus1000_benchmark(apps: usize, scale: f64) -> (String, String) {
     let mut sumstore_baseline_ns = 0.0;
     for (_, app) in lib_corpus.stream_all() {
         let prep = prepare_vetting(app);
-        let baseline = execute_vetting_on_device(&prep, &mut store_device, OptConfig::gdroid())
-            .expect("no fault plan installed");
+        let (baseline, _) =
+            run(&prep, &Plan::default(), &mut store_device, None).expect("no fault plan installed");
         sumstore_baseline_ns += baseline.outcome.timing.idfg_ns;
         let (run, _) = execute_vetting_on_device_with_store(
             &prep,

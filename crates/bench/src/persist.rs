@@ -22,12 +22,10 @@
 use crate::corpus::corpus_prep;
 use crate::rel::fact_digest;
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
-use gdroid_core::{EngineKind, ExecMode};
+use gdroid_core::ExecMode;
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_serve::fnv1a;
-use gdroid_vetting::{
-    execute_vetting_engine_on_device_mode, prepare_vetting, PreparedApp, VettingRun,
-};
+use gdroid_vetting::{prepare_vetting, run, Plan, PreparedApp, VettingRun};
 
 /// Window size of the streamed corpus section.
 pub const PERSIST_WINDOW: usize = 8;
@@ -69,25 +67,20 @@ impl PersistPoint {
     }
 }
 
+/// The persistent-kernel plan compared against the default plan.
+fn persistent() -> Plan {
+    Plan { exec: ExecMode::Persistent, ..Plan::default() }
+}
+
 /// Runs one app in both modes on fresh devices, asserting fact and
 /// verdict identity, and returns both runs beside their launch counts.
 fn run_both_modes(prep: &PreparedApp, label: usize) -> (VettingRun, VettingRun, u64, u64) {
     let mut md = Device::new(DeviceConfig::tesla_p40());
-    let multi = execute_vetting_engine_on_device_mode(
-        prep,
-        &mut md,
-        EngineKind::Worklist,
-        ExecMode::MultiLaunch,
-    )
-    .expect("a fresh device has no fault plan");
+    let (multi, _) =
+        run(prep, &Plan::default(), &mut md, None).expect("a fresh device has no fault plan");
     let mut pd = Device::new(DeviceConfig::tesla_p40());
-    let per = execute_vetting_engine_on_device_mode(
-        prep,
-        &mut pd,
-        EngineKind::Worklist,
-        ExecMode::Persistent,
-    )
-    .expect("a fresh device has no fault plan");
+    let (per, _) =
+        run(prep, &persistent(), &mut pd, None).expect("a fresh device has no fault plan");
     assert_eq!(
         per.outcome.report.to_json(),
         multi.outcome.report.to_json(),
@@ -170,20 +163,10 @@ pub fn persist_benchmark(detail_apps: usize, corpus_apps: usize, scale: f64) -> 
         let window: Vec<_> = stream.by_ref().take(PERSIST_WINDOW).collect();
         for (index, app) in window {
             let prep = prepare_vetting(app);
-            let m = execute_vetting_engine_on_device_mode(
-                &prep,
-                &mut multi_device,
-                EngineKind::Worklist,
-                ExecMode::MultiLaunch,
-            )
-            .expect("no fault plan installed");
-            let p = execute_vetting_engine_on_device_mode(
-                &prep,
-                &mut persist_device,
-                EngineKind::Worklist,
-                ExecMode::Persistent,
-            )
-            .expect("no fault plan installed");
+            let (m, _) = run(&prep, &Plan::default(), &mut multi_device, None)
+                .expect("no fault plan installed");
+            let (p, _) = run(&prep, &persistent(), &mut persist_device, None)
+                .expect("no fault plan installed");
             assert_eq!(
                 p.outcome.report.to_json(),
                 m.outcome.report.to_json(),

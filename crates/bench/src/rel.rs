@@ -25,9 +25,7 @@ use gdroid_core::{EngineKind, OptConfig};
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_ir::MethodId;
 use gdroid_serve::fnv1a;
-use gdroid_vetting::{
-    execute_vetting, execute_vetting_engine_on_device, prepare_vetting, Engine, VettingRun,
-};
+use gdroid_vetting::{execute_vetting, prepare_vetting, run, Engine, Plan, VettingRun};
 
 /// Window size of the streamed corpus section.
 pub const REL_WINDOW: usize = 8;
@@ -99,9 +97,10 @@ pub fn run_rel_point(app: usize) -> RelPoint {
     let mut runs = Vec::with_capacity(EngineKind::ALL.len());
     for kind in EngineKind::ALL {
         let mut device = Device::new(DeviceConfig::tesla_p40());
-        let run = execute_vetting_engine_on_device(&prep, &mut device, kind)
-            .expect("a fresh device has no fault plan");
-        runs.push(run);
+        let plan = Plan { engine: kind, ..Plan::default() };
+        let (engine_run, _) =
+            run(&prep, &plan, &mut device, None).expect("a fresh device has no fault plan");
+        runs.push(engine_run);
     }
     let [worklist, rel, cpu] = <[VettingRun; 3]>::try_from(runs)
         .unwrap_or_else(|_| unreachable!("EngineKind::ALL has three kinds"));
@@ -170,11 +169,10 @@ pub fn rel_benchmark(detail_apps: usize, corpus_apps: usize, scale: f64) -> (Str
         let window: Vec<_> = stream.by_ref().take(REL_WINDOW).collect();
         for (index, app) in window {
             let prep = prepare_vetting(app);
-            let w =
-                execute_vetting_engine_on_device(&prep, &mut worklist_device, EngineKind::Worklist)
-                    .expect("no fault plan installed");
-            let r = execute_vetting_engine_on_device(&prep, &mut rel_device, EngineKind::Rel)
+            let (w, _) = run(&prep, &Plan::default(), &mut worklist_device, None)
                 .expect("no fault plan installed");
+            let rel = Plan { engine: EngineKind::Rel, ..Plan::default() };
+            let (r, _) = run(&prep, &rel, &mut rel_device, None).expect("no fault plan installed");
             assert_eq!(
                 r.outcome.report.to_json(),
                 w.outcome.report.to_json(),

@@ -13,9 +13,8 @@
 
 use crate::corpus::corpus_prep;
 use gdroid_apk::GenConfig;
-use gdroid_core::OptConfig;
 use gdroid_gpusim::{Device, DeviceConfig};
-use gdroid_vetting::{execute_vetting_on_device, execute_vetting_targeted_on_device};
+use gdroid_vetting::{run, Plan};
 
 /// One app's full-vs-targeted measurement.
 pub struct TargetedPoint {
@@ -64,10 +63,10 @@ impl TargetedPoint {
 pub fn run_targeted_point(app: usize) -> TargetedPoint {
     let prep = corpus_prep(app, &GenConfig::tiny());
     let mut device = Device::new(DeviceConfig::tesla_p40());
-    let full = execute_vetting_on_device(&prep, &mut device, OptConfig::gdroid())
-        .expect("no fault plan installed");
-    let targeted = execute_vetting_targeted_on_device(&prep, &mut device, OptConfig::gdroid())
-        .expect("no fault plan installed");
+    let (full, _) =
+        run(&prep, &Plan::default(), &mut device, None).expect("no fault plan installed");
+    let plan = Plan { targeted: true, ..Plan::default() };
+    let (targeted, _) = run(&prep, &plan, &mut device, None).expect("no fault plan installed");
     assert_eq!(
         targeted.outcome.report.to_json(),
         full.outcome.report.to_json(),

@@ -13,9 +13,10 @@
 use crate::corpus::corpus_prep;
 use gdroid_apk::GenConfig;
 use gdroid_core::OptConfig;
+use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_serve::fnv1a;
 use gdroid_trace::{Phase, Tracer};
-use gdroid_vetting::{execute_vetting, execute_vetting_gpu_traced, Engine};
+use gdroid_vetting::{execute_vetting, run, Engine, Plan};
 
 /// Per-app result of the invariance + breakdown run.
 pub struct TracePoint {
@@ -62,7 +63,10 @@ fn run_point(index: usize, cfg: &GenConfig) -> TracePoint {
     let prep = corpus_prep(index, cfg);
     let untraced = execute_vetting(&prep, Engine::Gpu(OptConfig::gdroid()));
     let tracer = Tracer::enabled_new();
-    let traced = execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &tracer);
+    let mut device = Device::new(DeviceConfig::tesla_p40());
+    device.set_tracer(tracer.clone());
+    let (traced, _) =
+        run(&prep, &Plan::default(), &mut device, None).expect("a fresh device has no fault plan");
 
     let events = tracer.events();
     let mut layer_ns = (0u64, 0u64, 0u64);

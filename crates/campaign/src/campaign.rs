@@ -23,6 +23,7 @@ use gdroid_serve::{
     ServiceReport, VettingService,
 };
 use gdroid_sumstore::SumStore;
+use gdroid_vetting::Plan;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -513,8 +514,7 @@ fn run_shard(ctx: ShardCtx<'_>) -> Result<ShardOutcome, CampaignError> {
             .sumstore
             .then(|| shared_store.clone().unwrap_or_else(|| Arc::new(SumStore::new()))),
         result_cache: shared_cache,
-        engine: config.engine,
-        exec: config.exec,
+        plan: Plan { engine: config.engine, exec: config.exec, ..Plan::default() },
         ..ServiceConfig::default()
     });
 

@@ -70,64 +70,20 @@ pub fn gpu_analyze_app_on(
     roots: &[MethodId],
     opts: OptConfig,
 ) -> Result<GpuAnalysis, DeviceFault> {
-    gpu_analyze_app_presolved_on(device, program, cg, roots, opts, &HashMap::new())
-}
-
-/// [`gpu_analyze_app_on`] with a set of *pre-solved* methods (summary-store
-/// hits) whose summaries and node facts are injected instead of computed.
-///
-/// Pre-solved methods are treated as leaves by the layer schedule: their
-/// subtrees never enter a kernel launch, no device buffers are planned for
-/// them, and no bytes are transferred — that is the warm-corpus win. The
-/// caller must pass a *closed* set: every internal callee of a pre-solved
-/// method is itself pre-solved (otherwise its summary would never become
-/// available, since cut subtrees are unscheduled).
-pub fn gpu_analyze_app_presolved_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    opts: OptConfig,
-    presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-) -> Result<GpuAnalysis, DeviceFault> {
-    gpu_analyze_app_restricted_on(
+    gpu_analyze_app_exec_on(
         device,
         program,
         cg,
         roots,
         opts,
-        presolved,
+        &HashMap::new(),
         None,
         ExecMode::MultiLaunch,
     )
 }
 
-/// The fully general entry point: pre-solved hits, an optional slice, and
-/// an [`ExecMode`]. `ExecMode::Persistent` runs the whole fixpoint inside
-/// ONE resident kernel launch: blocks pull work from a device-side queue,
-/// rounds are separated by a modeled grid-wide sync instead of a kernel
-/// boundary, and the host uploads inputs once and downloads results once
-/// — facts and summaries stay byte-identical to the multi-launch path
-/// (the fixpoint is unique; only the modeled cost differs).
-#[allow(clippy::too_many_arguments)]
-pub fn gpu_analyze_app_exec_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    opts: OptConfig,
-    presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-    slice: Option<&std::collections::HashSet<MethodId>>,
-    exec: ExecMode,
-) -> Result<GpuAnalysis, DeviceFault> {
-    gpu_analyze_app_restricted_on(device, program, cg, roots, opts, presolved, slice, exec)
-}
-
-/// Sliced (demand-driven) analysis: the worklist seeds and launches only
-/// methods in `slice`, with call edges leaving the slice cut from the
-/// schedule. The slice must be caller-closed over the reachable set (see
-/// `gdroid_analysis::BackwardSlice`) for the facts at sink statements to
-/// match a full run. An empty slice performs zero launches.
+/// Sliced (demand-driven) analysis: [`gpu_analyze_app_exec_on`] with a
+/// slice, no pre-solved methods, and one launch per round.
 pub fn gpu_analyze_app_sliced_on(
     device: &mut Device,
     program: &Program,
@@ -136,7 +92,7 @@ pub fn gpu_analyze_app_sliced_on(
     opts: OptConfig,
     slice: &std::collections::HashSet<MethodId>,
 ) -> Result<GpuAnalysis, DeviceFault> {
-    gpu_analyze_app_restricted_on(
+    gpu_analyze_app_exec_on(
         device,
         program,
         cg,
@@ -148,36 +104,32 @@ pub fn gpu_analyze_app_sliced_on(
     )
 }
 
-/// [`gpu_analyze_app_sliced_on`] with pre-solved summary-store hits. The
-/// presolved set must already be restricted to slice members that are
-/// closed under slice-internal call edges.
-pub fn gpu_analyze_app_sliced_presolved_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    opts: OptConfig,
-    presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-    slice: &std::collections::HashSet<MethodId>,
-) -> Result<GpuAnalysis, DeviceFault> {
-    gpu_analyze_app_restricted_on(
-        device,
-        program,
-        cg,
-        roots,
-        opts,
-        presolved,
-        Some(slice),
-        ExecMode::MultiLaunch,
-    )
-}
-
-/// Shared driver body: a full schedule when `restrict` is `None`, a
-/// slice-restricted one otherwise; one kernel launch per round under
-/// `ExecMode::MultiLaunch`, one resident launch for the whole fixpoint
-/// under `ExecMode::Persistent`.
+/// The fully general entry point.
+///
+/// * `presolved` holds summary-store hits whose summaries and node facts
+///   are injected instead of computed. They are leaves of the layer
+///   schedule: their subtrees never enter a kernel launch, no device
+///   buffers are planned for them, and no bytes are transferred. The set
+///   must be *closed*: every internal callee of a pre-solved method is
+///   itself pre-solved, since cut subtrees are never scheduled.
+/// * `restrict`, when `Some`, is a slice: the worklist seeds and launches
+///   only its methods, with call edges leaving it cut from the schedule.
+///   It must be caller-closed over the reachable set (see
+///   `gdroid_analysis::BackwardSlice`) for the facts at sink statements
+///   to match a full run; with pre-solved methods, those must be slice
+///   members closed under slice-internal call edges. An empty slice
+///   performs zero launches.
+/// * `exec` picks one kernel launch per round ([`ExecMode::MultiLaunch`])
+///   or ONE resident launch for the whole fixpoint
+///   ([`ExecMode::Persistent`]): blocks pull work from a device-side
+///   queue, rounds are separated by a modeled grid-wide sync instead of a
+///   kernel boundary, and the host uploads inputs once and downloads
+///   results once.
+///
+/// Facts and summaries are identical under every combination; only the
+/// modeled cost differs.
 #[allow(clippy::too_many_arguments)]
-fn gpu_analyze_app_restricted_on(
+pub fn gpu_analyze_app_exec_on(
     device: &mut Device,
     program: &Program,
     cg: &CallGraph,

@@ -223,11 +223,6 @@ impl WorklistEngine {
     pub fn gdroid() -> WorklistEngine {
         WorklistEngine { opts: OptConfig::gdroid(), exec: ExecMode::MultiLaunch }
     }
-
-    /// This engine in the given execution mode.
-    pub fn with_exec(self, exec: ExecMode) -> WorklistEngine {
-        WorklistEngine { exec, ..self }
-    }
 }
 
 impl AnalysisEngine for WorklistEngine {

@@ -41,8 +41,8 @@ pub use engine::{
 };
 
 pub use driver::{
-    gpu_analyze_app, gpu_analyze_app_exec_on, gpu_analyze_app_on, gpu_analyze_app_presolved_on,
-    gpu_analyze_app_sliced_on, gpu_analyze_app_sliced_presolved_on, GpuAnalysis,
+    gpu_analyze_app, gpu_analyze_app_exec_on, gpu_analyze_app_on, gpu_analyze_app_sliced_on,
+    GpuAnalysis,
 };
 pub use kernel::run_method_block;
 pub use layout::{plan_layout, AppLayout, MethodLayout};

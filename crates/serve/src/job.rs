@@ -1,8 +1,7 @@
 //! Job descriptions, priorities, and per-job results.
 
 use gdroid_apk::{App, GenConfig};
-use gdroid_core::{EngineKind, ExecMode};
-use gdroid_vetting::VettingOutcome;
+use gdroid_vetting::{Plan, VettingOutcome};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -59,19 +58,12 @@ pub struct JobSpec {
     pub source: JobSource,
     /// When the job was admitted (queue-wait clock starts here).
     pub submitted_at: Instant,
-    /// Demand-driven fast-lane job: executed over the backward sink
-    /// slice only, bypassing the result cache in both directions.
-    pub targeted: bool,
-    /// Which [`AnalysisEngine`](gdroid_core::AnalysisEngine) constructs
-    /// the IDFG. Non-worklist jobs bypass the result cache (cached
-    /// outcomes embed worklist cost profiles) and never join a
-    /// co-resident batch.
-    pub engine: EngineKind,
-    /// Kernel execution mode. Persistent jobs bypass the result cache in
-    /// both directions and the incremental warm start (cached outcomes
-    /// embed the multi-launch cost profile) and never join a co-resident
-    /// batch; verdicts and facts stay byte-identical either way.
-    pub exec: ExecMode,
+    /// How the job is vetted, already validated against the engine's
+    /// caps. Only [`Plan::cacheable`] jobs use the result cache, the
+    /// incremental warm start, and co-resident batches; every other plan
+    /// embeds a different cost profile or targeted provenance in its
+    /// outcome. Verdicts and facts are the same under every plan.
+    pub plan: Plan,
 }
 
 /// How the result cache participated in a job.

@@ -1,13 +1,17 @@
 //! Service observability: counters, latency histograms, and the
 //! machine-readable [`ServiceReport`].
 //!
-//! Everything is lock-free (`AtomicU64` with relaxed ordering — these are
-//! statistics, not synchronization), so the hot paths never serialize on
-//! a metrics mutex.
+//! Counters and histograms are lock-free (`AtomicU64` with relaxed
+//! ordering — these are statistics, not synchronization), so the hot
+//! paths never serialize on a metrics mutex. The one exception is the
+//! per-plan job map, locked once per finished job.
 
 use crate::cache::CacheStats;
 use gdroid_sumstore::SumStoreStats;
+use gdroid_vetting::Plan;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Histogram bucket upper bounds in nanoseconds: geometric ×4 from 1 µs,
@@ -214,18 +218,13 @@ pub struct Counters {
     pub batches: AtomicU64,
     /// Jobs executed inside a co-resident batch.
     pub batched_jobs: AtomicU64,
-    /// Targeted (fast-lane, sliced) jobs completed.
-    pub targeted_jobs: AtomicU64,
+    /// Jobs that ran to an outcome (executed, batched, or warm-started),
+    /// by [`Plan::label`].
+    pub plan_jobs: Mutex<BTreeMap<String, u64>>,
     /// Sum of targeted sliced fractions in micro-units (×1e6); divided by
-    /// `targeted_jobs` for the report's `mean_sliced_fraction`.
+    /// the targeted plans' job count for the report's
+    /// `mean_sliced_fraction`.
     pub sliced_fraction_micros: AtomicU64,
-    /// Jobs executed under the relational engine.
-    pub rel_jobs: AtomicU64,
-    /// Jobs executed under the CPU reference engine.
-    pub cpu_jobs: AtomicU64,
-    /// Jobs executed under the persistent-kernel mode (one resident
-    /// launch per app).
-    pub persistent_jobs: AtomicU64,
     /// Summary-store method hits attributable to this service's own
     /// executions (service-local even when the store `Arc` is shared
     /// across shards — the store's global stats can't say *who* hit).
@@ -239,6 +238,16 @@ impl Counters {
     /// Relaxed increment helper.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one job that ran to an outcome under `plan`.
+    pub fn bump_plan(&self, plan: &Plan) {
+        *self
+            .plan_jobs
+            .lock()
+            .expect("plan_jobs mutex poisoned: a service thread panicked")
+            .entry(plan.label())
+            .or_default() += 1;
     }
 
     /// Point-in-time copy.
@@ -258,11 +267,12 @@ impl Counters {
             completed: load(&self.completed),
             batches: load(&self.batches),
             batched_jobs: load(&self.batched_jobs),
-            targeted_jobs: load(&self.targeted_jobs),
+            plan_jobs: self
+                .plan_jobs
+                .lock()
+                .expect("plan_jobs mutex poisoned: a service thread panicked")
+                .clone(),
             sliced_fraction_micros: load(&self.sliced_fraction_micros),
-            rel_jobs: load(&self.rel_jobs),
-            cpu_jobs: load(&self.cpu_jobs),
-            persistent_jobs: load(&self.persistent_jobs),
             store_hits: load(&self.store_hits),
             store_misses: load(&self.store_misses),
         }
@@ -270,7 +280,7 @@ impl Counters {
 }
 
 /// Frozen copy of [`Counters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CountersSnapshot {
     /// Jobs admitted into the submission queue.
     pub submitted: u64,
@@ -298,18 +308,12 @@ pub struct CountersSnapshot {
     pub batches: u64,
     /// Jobs executed inside a co-resident batch.
     pub batched_jobs: u64,
-    /// Targeted (fast-lane, sliced) jobs completed.
-    pub targeted_jobs: u64,
+    /// Jobs that ran to an outcome, by [`Plan::label`].
+    pub plan_jobs: BTreeMap<String, u64>,
     /// Summed targeted sliced fractions in micro-units (×1e6). Kept raw
     /// (not pre-divided) so shard merges reproduce the exact fleet-wide
     /// mean instead of averaging per-shard means.
     pub sliced_fraction_micros: u64,
-    /// Jobs executed under the relational engine.
-    pub rel_jobs: u64,
-    /// Jobs executed under the CPU reference engine.
-    pub cpu_jobs: u64,
-    /// Jobs executed under the persistent-kernel mode.
-    pub persistent_jobs: u64,
     /// Summary-store hits from this service's own executions.
     pub store_hits: u64,
     /// Summary-store misses from this service's own executions.
@@ -317,9 +321,22 @@ pub struct CountersSnapshot {
 }
 
 impl CountersSnapshot {
+    /// Jobs that ran to an outcome under a targeted (sliced) plan.
+    pub fn targeted_jobs(&self) -> u64 {
+        self.plan_jobs
+            .iter()
+            .filter(|(label, _)| Plan::is_targeted_label(label))
+            .map(|(_, n)| n)
+            .sum()
+    }
+
     /// Exact merge: every counter is a sum over disjoint event sets, so
-    /// field-wise addition is the true union.
+    /// field-wise (and label-wise) addition is the true union.
     pub fn merge(&self, other: &CountersSnapshot) -> CountersSnapshot {
+        let mut plan_jobs = self.plan_jobs.clone();
+        for (label, n) in &other.plan_jobs {
+            *plan_jobs.entry(label.clone()).or_default() += n;
+        }
         CountersSnapshot {
             submitted: self.submitted + other.submitted,
             rejected: self.rejected + other.rejected,
@@ -334,11 +351,8 @@ impl CountersSnapshot {
             completed: self.completed + other.completed,
             batches: self.batches + other.batches,
             batched_jobs: self.batched_jobs + other.batched_jobs,
-            targeted_jobs: self.targeted_jobs + other.targeted_jobs,
+            plan_jobs,
             sliced_fraction_micros: self.sliced_fraction_micros + other.sliced_fraction_micros,
-            rel_jobs: self.rel_jobs + other.rel_jobs,
-            cpu_jobs: self.cpu_jobs + other.cpu_jobs,
-            persistent_jobs: self.persistent_jobs + other.persistent_jobs,
             store_hits: self.store_hits + other.store_hits,
             store_misses: self.store_misses + other.store_misses,
         }
@@ -346,12 +360,18 @@ impl CountersSnapshot {
 
     /// JSON rendering.
     pub fn to_json(&self) -> String {
+        let plan_jobs = self
+            .plan_jobs
+            .iter()
+            .map(|(label, n)| format!("{}:{n}", gdroid_vetting::json::string(label)))
+            .collect::<Vec<_>>()
+            .join(",");
         format!(
             "{{\"submitted\":{},\"rejected\":{},\"cache_hits\":{},\"cache_incremental\":{},\
              \"prepared\":{},\"executed\":{},\"retries\":{},\"faults\":{},\"timeouts\":{},\
              \"quarantined\":{},\"completed\":{},\"batches\":{},\"batched_jobs\":{},\
-             \"targeted_jobs\":{},\"sliced_fraction_micros\":{},\"rel_jobs\":{},\"cpu_jobs\":{},\
-             \"persistent_jobs\":{},\"store_hits\":{},\"store_misses\":{}}}",
+             \"plan_jobs\":{{{}}},\"sliced_fraction_micros\":{},\"store_hits\":{},\
+             \"store_misses\":{}}}",
             self.submitted,
             self.rejected,
             self.cache_hits,
@@ -365,11 +385,8 @@ impl CountersSnapshot {
             self.completed,
             self.batches,
             self.batched_jobs,
-            self.targeted_jobs,
+            plan_jobs,
             self.sliced_fraction_micros,
-            self.rel_jobs,
-            self.cpu_jobs,
-            self.persistent_jobs,
             self.store_hits,
             self.store_misses,
         )
@@ -465,10 +482,11 @@ fn derived_ratios(counters: &CountersSnapshot, wall_ns: u64) -> (f64, f64, f64) 
     // launch group each, solo executions count as groups of one.
     let groups = counters.executed.saturating_sub(counters.batched_jobs) + counters.batches;
     let coresidency = if groups == 0 { 1.0 } else { counters.executed as f64 / groups as f64 };
-    let mean_sliced_fraction = if counters.targeted_jobs == 0 {
+    let targeted_jobs = counters.targeted_jobs();
+    let mean_sliced_fraction = if targeted_jobs == 0 {
         1.0
     } else {
-        counters.sliced_fraction_micros as f64 / 1e6 / counters.targeted_jobs as f64
+        counters.sliced_fraction_micros as f64 / 1e6 / targeted_jobs as f64
     };
     (apps_per_sec, coresidency, mean_sliced_fraction)
 }
@@ -706,8 +724,9 @@ mod tests {
                 if i % 3 == 0 {
                     Counters::bump(&m.counters.cache_hits);
                 }
-                if i % 5 == 0 {
-                    Counters::bump(&m.counters.targeted_jobs);
+                let plan = Plan { targeted: i % 5 == 0, ..Plan::default() };
+                m.counters.bump_plan(&plan);
+                if plan.targeted {
                     m.counters.sliced_fraction_micros.fetch_add(125_000, Ordering::Relaxed);
                 }
             }
@@ -751,7 +770,7 @@ mod tests {
         assert!(j.contains("\"per_source\":[{\"label\":\"service\",\"cache_hits\":0,"));
         assert!(j.contains("\"device_faults\":1"));
         assert!(j.contains("\"apps_per_sec\":"));
-        assert!(j.contains("\"targeted_jobs\":0"));
+        assert!(j.contains("\"plan_jobs\":{}"));
         assert!(j.contains("\"mean_sliced_fraction\":1.000000"));
         assert!(j.contains("\"cache\":{"));
         assert!(

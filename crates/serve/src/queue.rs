@@ -163,9 +163,7 @@ mod tests {
                 config: Box::new(gdroid_apk::GenConfig::tiny()),
             },
             submitted_at: Instant::now(),
-            targeted: false,
-            engine: gdroid_core::EngineKind::Worklist,
-            exec: gdroid_core::ExecMode::MultiLaunch,
+            plan: gdroid_vetting::Plan::default(),
         }
     }
 

@@ -44,14 +44,8 @@ pub struct ReadyJob {
     pub id: u64,
     /// Priority class.
     pub priority: Priority,
-    /// Demand-driven fast-lane job: sliced execution, never batched,
-    /// result cache bypassed.
-    pub targeted: bool,
-    /// Engine the job runs under (see [`crate::JobSpec::engine`]).
-    pub engine: gdroid_core::EngineKind,
-    /// Kernel execution mode (see [`crate::JobSpec::exec`]). Persistent
-    /// jobs bypass the cache/incremental paths and never batch.
-    pub exec: gdroid_core::ExecMode,
+    /// How the job is vetted (see [`crate::JobSpec::plan`]).
+    pub plan: gdroid_vetting::Plan,
     /// Static work estimate (statements × state width), the LPT key.
     pub estimate: u64,
     /// Widest call-graph layer in blocks — the most block slots one of
@@ -211,11 +205,12 @@ impl DispatchHeap {
     /// fits in `max_demand` block slots — how a batch-forming executor
     /// tops up a device with co-resident jobs. Returns `None` when no
     /// waiting job fits (never blocks: an empty top-up just means the
-    /// batch launches as-is). Targeted fast-lane jobs never join a batch
-    /// (their sliced launch is a solo path), so they are skipped here.
+    /// batch launches as-is). Only [`gdroid_vetting::Plan::cacheable`]
+    /// jobs join a batch (the batch driver runs the full multi-launch
+    /// worklist kernels), so every other plan is skipped here.
     pub fn try_pop_coresident(&self, max_demand: u64) -> Option<ReadyJob> {
         let mut inner = self.inner.lock().expect("dispatch-heap mutex poisoned: a worker panicked");
-        let i = inner.best_index(|job| !job.targeted && job.block_demand <= max_demand)?;
+        let i = inner.best_index(|job| job.plan.cacheable() && job.block_demand <= max_demand)?;
         let job = inner.take(i);
         self.not_full.notify_one();
         Some(job)
@@ -250,9 +245,7 @@ mod tests {
         ReadyJob {
             id,
             priority,
-            targeted: false,
-            engine: gdroid_core::EngineKind::Worklist,
-            exec: gdroid_core::ExecMode::MultiLaunch,
+            plan: gdroid_vetting::Plan::default(),
             estimate,
             block_demand: 1,
             prep: prepare_vetting(generate_app(0, 100 + id, &GenConfig::tiny())),
@@ -362,7 +355,7 @@ mod tests {
     fn targeted_jobs_never_join_a_coresident_batch() {
         let h = DispatchHeap::new(8);
         let mut fast = ready(1, Priority::Expedited, 1000);
-        fast.targeted = true;
+        fast.plan.targeted = true;
         assert!(h.push(fast).is_ok());
         assert!(h.push(ready(2, Priority::Background, 1)).is_ok());
         // The targeted job outranks everything for a normal pop, but a

@@ -28,17 +28,12 @@ use crate::pool::DevicePool;
 use crate::queue::{SubmitError, SubmitQueue};
 use crate::scheduler::{block_demand, work_estimate, DispatchHeap, ReadyJob};
 use gdroid_apk::{generate_app, load_bundle, App};
-use gdroid_core::{EngineKind, ExecMode, OptConfig};
+use gdroid_core::{EngineKind, ExecMode};
 use gdroid_gpusim::{DeviceConfig, FaultPlan};
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::{
-    execute_vetting_batch_on_device, execute_vetting_engine_on_device_mode,
-    execute_vetting_engine_on_device_with_store_mode,
-    execute_vetting_engine_targeted_on_device_mode,
-    execute_vetting_engine_targeted_on_device_with_store_mode, execute_vetting_incremental,
-    execute_vetting_on_device, execute_vetting_on_device_with_store,
-    execute_vetting_targeted_on_device, execute_vetting_targeted_on_device_with_store,
-    prepare_vetting, PreparedApp, StoreUse, VettingRun,
+    execute_vetting_batch_on_device, execute_vetting_incremental, prepare_vetting, Plan,
+    PreparedApp, VettingRun,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,8 +65,14 @@ pub struct ServiceConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Simulated device model.
     pub device_config: DeviceConfig,
-    /// Kernel optimization ladder rung to vet with.
-    pub opt: OptConfig,
+    /// Plan [`VettingService::submit`] jobs run under;
+    /// [`VettingService::submit_targeted`] runs it targeted. A job falls
+    /// back where its engine lacks a capability (see
+    /// [`EngineKind::caps`]): targeted jobs to the worklist engine (only
+    /// the CPU reference cannot slice), persistent execution to
+    /// multi-launch. Only [`Plan::cacheable`] jobs use the result cache,
+    /// incremental warm starts, and co-resident batches.
+    pub plan: Plan,
     /// Optional cross-app summary store shared by every executor. Full
     /// runs pre-solve store-hit methods and feed fresh summaries back;
     /// `None` disables the store entirely.
@@ -88,22 +89,6 @@ pub struct ServiceConfig {
     /// `1` (the default) disables batching. Ignored when a summary store
     /// is configured (store pre-solving is a per-app path).
     pub coresident: usize,
-    /// Engine jobs run under (see [`EngineKind::caps`]). Non-worklist
-    /// engines bypass the result cache and incremental warm starts (both
-    /// hold worklist-profiled outcomes) and never join a co-resident
-    /// batch. Targeted submissions fall back to the worklist engine when
-    /// the configured engine's caps lack `targeted` (only the CPU
-    /// reference does).
-    pub engine: EngineKind,
-    /// Kernel execution mode worklist jobs run under. Under
-    /// [`ExecMode::Persistent`] each app's fixpoint runs as one resident
-    /// mega-kernel launch; verdicts and facts stay byte-identical to
-    /// multi-launch, but the cost profile differs, so persistent jobs
-    /// bypass the result cache (both directions), skip the incremental
-    /// warm start, and never join a co-resident batch. Jobs running on an
-    /// engine whose caps lack `persistent` fall back to
-    /// [`ExecMode::MultiLaunch`].
-    pub exec: ExecMode,
 }
 
 impl Default for ServiceConfig {
@@ -118,12 +103,10 @@ impl Default for ServiceConfig {
             job_timeout_ms: 30_000,
             fault_plan: None,
             device_config: DeviceConfig::tesla_p40(),
-            opt: OptConfig::gdroid(),
+            plan: Plan::default(),
             sumstore: None,
             result_cache: None,
             coresident: 1,
-            engine: EngineKind::Worklist,
-            exec: ExecMode::MultiLaunch,
         }
     }
 }
@@ -138,11 +121,9 @@ struct ServiceState {
     results_cv: std::sync::Condvar,
     max_retries: u32,
     timeout: Duration,
-    opt: OptConfig,
+    plan: Plan,
     sumstore: Option<Arc<SumStore>>,
     coresident: usize,
-    engine: EngineKind,
-    exec: ExecMode,
     /// Total block slots of one device (`sm_count × blocks_per_sm`) — the
     /// budget co-resident top-ups must fit into.
     block_slots: u64,
@@ -187,11 +168,9 @@ impl VettingService {
             results_cv: std::sync::Condvar::new(),
             max_retries: config.max_retries,
             timeout: Duration::from_millis(config.job_timeout_ms.max(1)),
-            opt: config.opt,
+            plan: config.plan,
             sumstore: config.sumstore,
             coresident: config.coresident.max(1),
-            engine: config.engine,
-            exec: config.exec,
             block_slots: (config.device_config.sm_count as u64)
                 * (config.device_config.blocks_per_sm as u64),
         });
@@ -213,17 +192,18 @@ impl VettingService {
 
     fn spec(&self, priority: Priority, source: JobSource, targeted: bool) -> JobSpec {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut plan = Plan { targeted: targeted || self.state.plan.targeted, ..self.state.plan };
         // Targeted jobs need a slicing-capable engine; the worklist engine
         // is the documented fallback for the one kind (cpu) that lacks it.
-        let engine = if targeted && !self.state.engine.caps().targeted {
-            EngineKind::Worklist
-        } else {
-            self.state.engine
-        };
+        if plan.targeted && !plan.engine.caps().targeted {
+            plan.engine = EngineKind::Worklist;
+        }
         // Engines without persistent caps (rel, cpu) run multi-launch; a
         // persistent service setting only applies where it is meaningful.
-        let exec = if engine.caps().persistent { self.state.exec } else { ExecMode::MultiLaunch };
-        JobSpec { id, priority, source, submitted_at: Instant::now(), targeted, engine, exec }
+        if !plan.engine.caps().persistent {
+            plan.exec = ExecMode::MultiLaunch;
+        }
+        JobSpec { id, priority, source, submitted_at: Instant::now(), plan }
     }
 
     /// Blocking submission (backpressure when the queue is full).
@@ -367,15 +347,10 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
         let content_hash = app_content_hash(&app);
         let package = app.manifest.package.clone();
 
-        // Targeted jobs bypass the lookup: the cache only ever holds full
-        // outcomes, and a `take_previous`-style probe would invalidate a
-        // perfectly good full entry. Non-worklist engines bypass too —
-        // cached outcomes embed the worklist cost profile, which a rel or
-        // cpu job must not be served. Persistent jobs likewise: their
-        // cost profile (one launch per app) differs from the cached
-        // multi-launch one.
-        if !job.targeted && job.engine == EngineKind::Worklist && job.exec == ExecMode::MultiLaunch
-        {
+        // Only cacheable plans look up: the cache holds full multi-launch
+        // worklist outcomes, which a targeted, persistent, rel or cpu job
+        // must not be served.
+        if job.plan.cacheable() {
             if let Some(outcome) = state.cache.lookup(content_hash) {
                 Counters::bump(&state.metrics.counters.cache_hits);
                 state.deliver(JobResult {
@@ -408,9 +383,7 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
         let ready = ReadyJob {
             id: job.id,
             priority: job.priority,
-            targeted: job.targeted,
-            engine: job.engine,
-            exec: job.exec,
+            plan: job.plan,
             estimate,
             block_demand: block_demand(&prep),
             prep,
@@ -475,16 +448,10 @@ fn exec_loop(state: &ServiceState) {
         // combined block demand still fits its block slots. Extras run
         // through the incremental path first — a warm-startable job never
         // burns device time just because it was popped as a co-resident.
-        // Only worklist jobs batch (the batch driver runs the worklist
-        // kernels); a popped non-worklist extra runs solo afterwards.
+        // Only cacheable plans batch (the batch driver runs the full
+        // multi-launch worklist kernels), and only those are popped.
         let mut group = vec![job];
-        let mut stragglers: Vec<ReadyJob> = Vec::new();
-        if state.coresident > 1
-            && state.sumstore.is_none()
-            && !group[0].targeted
-            && group[0].engine == EngineKind::Worklist
-            && group[0].exec == ExecMode::MultiLaunch
-        {
+        if state.coresident > 1 && state.sumstore.is_none() && group[0].plan.cacheable() {
             let mut demand = group[0].block_demand;
             while group.len() < state.coresident && demand < state.block_slots {
                 let Some(extra) = state.dispatch.try_pop_coresident(state.block_slots - demand)
@@ -492,10 +459,6 @@ fn exec_loop(state: &ServiceState) {
                     break;
                 };
                 let Some(extra) = try_incremental(state, extra) else { continue };
-                if extra.engine != EngineKind::Worklist || extra.exec != ExecMode::MultiLaunch {
-                    stragglers.push(extra);
-                    continue;
-                }
                 demand += extra.block_demand;
                 group.push(extra);
             }
@@ -506,25 +469,16 @@ fn exec_loop(state: &ServiceState) {
         } else {
             exec_batch(state, group);
         }
-        for straggler in stragglers {
-            exec_solo(state, straggler);
-        }
     }
 }
 
 /// Attempts an incremental warm start — only on the first attempt, and
 /// only when a previous version of the same package is cached (the stale
 /// entry is invalidated either way). Returns the job back when it still
-/// needs a full device run. Targeted jobs always do: their sliced path
-/// must neither consume nor invalidate cached full analyses. Non-worklist
-/// jobs always do too — the cache is a worklist-engine artifact — and so
-/// do persistent jobs, whose cost profile the cached entries don't match.
+/// needs a full device run. Jobs of a non-cacheable plan always do: they
+/// must neither consume nor invalidate cached full analyses.
 fn try_incremental(state: &ServiceState, job: ReadyJob) -> Option<ReadyJob> {
-    if job.failures == 0
-        && !job.targeted
-        && job.engine == EngineKind::Worklist
-        && job.exec == ExecMode::MultiLaunch
-    {
+    if job.failures == 0 && job.plan.cacheable() {
         if let Some(prev) = state.cache.take_previous(&job.package, job.content_hash) {
             if let Some(changed) =
                 changed_methods(&prev, &job.method_hashes, job.interner_fingerprint)
@@ -558,62 +512,19 @@ fn exec_solo(state: &ServiceState, mut job: ReadyJob) {
     // Engines without sumstore caps (only the CPU reference) skip the
     // store rather than fault; targeted dispatch was already routed to a
     // slicing-capable engine at submission.
-    let store = state.sumstore.as_deref().filter(|_| job.engine.caps().sumstore);
-    // Store-backed runs report which methods *this* execution hit; the
-    // counters keep that attribution service-local, because the store's
-    // own global stats can't when the store Arc is shared across shards.
-    let account = |used: StoreUse| {
-        state.metrics.counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
-        state.metrics.counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
-    };
-    // Multi-launch worklist jobs keep the legacy opt-configurable path;
-    // everything else (other engines, persistent execution) goes through
-    // the engine dispatch layer, which owns the exec-mode plumbing.
-    let attempt = match (job.engine, job.exec, job.targeted, store) {
-        (EngineKind::Worklist, ExecMode::MultiLaunch, true, Some(store)) => {
-            execute_vetting_targeted_on_device_with_store(&job.prep, &mut lease, state.opt, store)
-                .map(|(run, used)| {
-                    account(used);
-                    run
-                })
-        }
-        (EngineKind::Worklist, ExecMode::MultiLaunch, true, None) => {
-            execute_vetting_targeted_on_device(&job.prep, &mut lease, state.opt)
-        }
-        (EngineKind::Worklist, ExecMode::MultiLaunch, false, Some(store)) => {
-            execute_vetting_on_device_with_store(&job.prep, &mut lease, state.opt, store).map(
-                |(run, used)| {
-                    account(used);
-                    run
-                },
-            )
-        }
-        (EngineKind::Worklist, ExecMode::MultiLaunch, false, None) => {
-            execute_vetting_on_device(&job.prep, &mut lease, state.opt)
-        }
-        (engine, exec, true, Some(store)) => {
-            execute_vetting_engine_targeted_on_device_with_store_mode(
-                &job.prep, &mut lease, engine, store, exec,
-            )
-            .map(|(run, used)| {
-                account(used);
-                run
-            })
-        }
-        (engine, exec, true, None) => {
-            execute_vetting_engine_targeted_on_device_mode(&job.prep, &mut lease, engine, exec)
-        }
-        (engine, exec, false, Some(store)) => execute_vetting_engine_on_device_with_store_mode(
-            &job.prep, &mut lease, engine, store, exec,
-        )
-        .map(|(run, used)| {
-            account(used);
+    let store = state.sumstore.as_deref().filter(|_| job.plan.engine.caps().sumstore);
+    let attempt =
+        gdroid_vetting::run(&job.prep, &job.plan, &mut lease, store).map(|(run, used)| {
+            // Store-backed runs report which methods *this* execution hit;
+            // the counters keep that attribution service-local, because the
+            // store's own global stats can't when the store Arc is shared
+            // across shards.
+            if let Some(used) = used {
+                state.metrics.counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
+                state.metrics.counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
+            }
             run
-        }),
-        (engine, exec, false, None) => {
-            execute_vetting_engine_on_device_mode(&job.prep, &mut lease, engine, exec)
-        }
-    };
+        });
     match attempt {
         Ok(run) => {
             let exec_wall_ns = t.elapsed().as_nanos() as u64;
@@ -646,7 +557,7 @@ fn exec_batch(state: &ServiceState, group: Vec<ReadyJob>) {
     let mut lease = state.pool.lease();
     let t = Instant::now();
     let preps: Vec<&PreparedApp> = group.iter().map(|j| &j.prep).collect();
-    let attempt = execute_vetting_batch_on_device(&preps, &mut lease, state.opt);
+    let attempt = execute_vetting_batch_on_device(&preps, &mut lease, state.plan.opts);
     let exec_wall_ns = t.elapsed().as_nanos() as u64;
     drop(lease);
     match attempt {
@@ -685,30 +596,19 @@ fn finish(
     state.metrics.exec_wall.record(exec_wall_ns);
     state.metrics.kernel_model.record(run.outcome.timing.idfg_ns as u64);
     state.metrics.taint_model.record(run.outcome.timing.taint_ns as u64);
-    match job.engine {
-        EngineKind::Worklist => {}
-        EngineKind::Rel => Counters::bump(&state.metrics.counters.rel_jobs),
-        EngineKind::Cpu => Counters::bump(&state.metrics.counters.cpu_jobs),
-    }
-    if job.exec == ExecMode::Persistent {
-        Counters::bump(&state.metrics.counters.persistent_jobs);
-    }
+    state.metrics.counters.bump_plan(&job.plan);
     let outcome = run.outcome.clone();
-    if job.targeted {
-        // Never cache a targeted outcome as a full one; account the
-        // sliced fraction instead (micro-units keep the counter atomic).
-        Counters::bump(&state.metrics.counters.targeted_jobs);
-        if let Some(prov) = &outcome.targeted {
-            state
-                .metrics
-                .counters
-                .sliced_fraction_micros
-                .fetch_add((prov.sliced_fraction * 1e6).round() as u64, Ordering::Relaxed);
-        }
-    } else if job.engine == EngineKind::Worklist && job.exec == ExecMode::MultiLaunch {
-        // Only multi-launch worklist outcomes enter the cache: a hit is
-        // served verbatim, so its embedded cost profile must match the
-        // engine and exec mode future worklist jobs expect.
+    if let Some(prov) = &outcome.targeted {
+        // Micro-units keep the counter atomic.
+        state
+            .metrics
+            .counters
+            .sliced_fraction_micros
+            .fetch_add((prov.sliced_fraction * 1e6).round() as u64, Ordering::Relaxed);
+    }
+    if job.plan.cacheable() {
+        // A hit is served verbatim, so only outcomes of the plan future
+        // lookups run under enter the cache.
         state.cache.insert(
             job.content_hash,
             &job.package,
@@ -763,6 +663,7 @@ fn retry_or_quarantine(state: &ServiceState, mut job: ReadyJob, exec_wall_ns: u6
 mod tests {
     use super::*;
     use gdroid_apk::GenConfig;
+    use gdroid_core::OptConfig;
     use gdroid_vetting::vet_app;
 
     fn seed_source(index: usize, seed: u64) -> JobSource {
@@ -912,7 +813,7 @@ mod tests {
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
-            engine: EngineKind::Rel,
+            plan: Plan { engine: EngineKind::Rel, ..Plan::default() },
             coresident: 4,
             ..ServiceConfig::default()
         });
@@ -929,7 +830,7 @@ mod tests {
         assert_eq!(results.len(), 6);
         assert!(results.iter().all(|r| r.status == JobStatus::Completed));
         assert_eq!(report.cache.hits, 0, "rel jobs must never be served from the cache");
-        assert_eq!(report.counters.rel_jobs, 6);
+        assert_eq!(report.counters.plan_jobs["rel/multi"], 6);
         assert_eq!(report.counters.batched_jobs, 0, "rel jobs never join a batch");
         // The vetting report itself is engine-invariant byte for byte.
         for r in &results {
@@ -945,7 +846,7 @@ mod tests {
             );
         }
         let j = report.to_json();
-        assert!(j.contains("\"rel_jobs\":6") && j.contains("\"cpu_jobs\":0"));
+        assert!(j.contains("\"plan_jobs\":{\"rel/multi\":6}"), "{j}");
     }
 
     #[test]
@@ -953,7 +854,7 @@ mod tests {
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
-            exec: ExecMode::Persistent,
+            plan: Plan { exec: ExecMode::Persistent, ..Plan::default() },
             coresident: 4,
             ..ServiceConfig::default()
         });
@@ -971,7 +872,7 @@ mod tests {
         assert_eq!(results.len(), 6);
         assert!(results.iter().all(|r| r.status == JobStatus::Completed));
         assert_eq!(report.cache.hits, 0, "persistent jobs must never be served from the cache");
-        assert_eq!(report.counters.persistent_jobs, 6);
+        assert_eq!(report.counters.plan_jobs["worklist/persistent"], 6);
         assert_eq!(report.counters.batched_jobs, 0, "persistent jobs never join a batch");
         // The vetting report itself is exec-mode-invariant byte for byte.
         for r in &results {
@@ -987,7 +888,7 @@ mod tests {
             );
         }
         let j = report.to_json();
-        assert!(j.contains("\"persistent_jobs\":6"), "{j}");
+        assert!(j.contains("\"plan_jobs\":{\"worklist/persistent\":6}"), "{j}");
     }
 
     fn ready_job(id: u64, seed: u64) -> ReadyJob {
@@ -997,9 +898,7 @@ mod tests {
         ReadyJob {
             id,
             priority: Priority::Standard,
-            targeted: false,
-            engine: EngineKind::Worklist,
-            exec: ExecMode::MultiLaunch,
+            plan: Plan::default(),
             estimate: work_estimate(&prep),
             block_demand: block_demand(&prep),
             content_hash: app_content_hash(&prep.app),
@@ -1031,12 +930,10 @@ mod tests {
             results_cv: std::sync::Condvar::new(),
             max_retries: 3,
             timeout: Duration::from_millis(30_000),
-            opt: OptConfig::gdroid(),
+            plan: Plan::default(),
             sumstore: None,
             coresident: 4,
             block_slots: 120,
-            engine: EngineKind::Worklist,
-            exec: ExecMode::MultiLaunch,
         };
         for id in 0..5u64 {
             assert!(state.dispatch.push(ready_job(id, 5500 + id)).is_ok());
@@ -1097,6 +994,24 @@ mod tests {
     }
 
     #[test]
+    fn a_targeted_service_plan_slices_plain_submissions() {
+        // The CPU reference cannot slice, so the jobs fall back to the
+        // worklist engine, and they keep the priority they were given.
+        let svc = VettingService::start(ServiceConfig {
+            prep_workers: 1,
+            devices: 1,
+            plan: Plan { engine: EngineKind::Cpu, targeted: true, ..Plan::default() },
+            ..ServiceConfig::default()
+        });
+        svc.submit(Priority::Background, seed_source(0, 5600)).unwrap();
+        let (report, results) = svc.drain();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].priority, Priority::Background);
+        assert!(results[0].outcome.as_ref().expect("completed").targeted.is_some());
+        assert_eq!(report.counters.plan_jobs["worklist/multi/targeted"], 1);
+    }
+
+    #[test]
     fn targeted_fast_lane_bypasses_cache_and_agrees_with_full() {
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
@@ -1113,7 +1028,7 @@ mod tests {
         assert_eq!(results.len(), 3);
         assert!(results.iter().all(|r| r.status == JobStatus::Completed));
         assert_eq!(report.counters.cache_hits, 0, "targeted jobs must bypass the cache");
-        assert_eq!(report.counters.targeted_jobs, 2);
+        assert_eq!(report.counters.targeted_jobs(), 2);
         assert!(report.mean_sliced_fraction > 0.0 && report.mean_sliced_fraction <= 1.0);
         let full = results[0].outcome.as_ref().expect("full outcome");
         assert!(full.targeted.is_none());
@@ -1130,7 +1045,7 @@ mod tests {
         }
         let j = report.to_json();
         assert!(
-            j.contains("\"targeted_jobs\":2") && j.contains("\"mean_sliced_fraction\":"),
+            j.contains("\"worklist/multi/targeted\":2") && j.contains("\"mean_sliced_fraction\":"),
             "{j}"
         );
     }

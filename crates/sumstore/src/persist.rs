@@ -30,6 +30,11 @@ use crate::store::StoredMethod;
 /// File name under the store directory.
 pub const STORE_FILE: &str = "summaries.bin";
 
+/// Temporary file a save writes before renaming it over [`STORE_FILE`].
+/// Loading never reads it, so a save torn by a crash leaves the previous
+/// store intact.
+pub const STORE_TMP_FILE: &str = "summaries.bin.tmp";
+
 const MAGIC: &[u8; 4] = b"GSUM";
 const VERSION: u32 = 1;
 

@@ -11,6 +11,7 @@
 //! handle can be shared across service workers behind an `Arc`.
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -107,13 +108,21 @@ impl SumStore {
         Ok(SumStore { inner: Mutex::new(Inner { entries, stats: SumStoreStats::default() }) })
     }
 
-    /// Persists the entries under `dir` (created if absent). Counters
-    /// are session-local and not persisted.
+    /// Persists the entries under `dir` (created if absent), atomically:
+    /// the bytes go to a temp file that is synced and renamed over the
+    /// store file, then the directory is synced, so a crash at any point
+    /// leaves either the old or the new store. Counters live only in
+    /// memory and are not persisted.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let inner = self.lock();
-        let bytes = crate::persist::encode(&inner.entries);
-        std::fs::write(dir.join(crate::persist::STORE_FILE), bytes)
+        let bytes = crate::persist::encode(&self.lock().entries);
+        let tmp = dir.join(crate::persist::STORE_TMP_FILE);
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&bytes)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, dir.join(crate::persist::STORE_FILE))?;
+        std::fs::File::open(dir)?.sync_all()
     }
 
     /// Looks up a canonical key, counting a hit or miss.
@@ -236,6 +245,37 @@ mod tests {
         reopened.save(&dir).unwrap();
         let second = std::fs::read(dir.join(crate::persist::STORE_FILE)).unwrap();
         assert_eq!(first, second);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_temp_file_is_ignored_and_save_leaves_only_the_store() {
+        let dir = std::env::temp_dir().join(format!("gdroid-sumstore-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SumStore::new();
+        store.insert(5, entry(2));
+        store.save(&dir).unwrap();
+        let names = |dir: &Path| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(&dir), [crate::persist::STORE_FILE]);
+        // A save torn mid-write leaves a truncated temp file behind.
+        let saved = std::fs::read(dir.join(crate::persist::STORE_FILE)).unwrap();
+        let tmp = dir.join(crate::persist::STORE_TMP_FILE);
+        std::fs::write(&tmp, &saved[..saved.len() / 2]).unwrap();
+        let reopened = SumStore::open(&dir).unwrap();
+        assert_eq!(reopened.len(), 1);
+        assert_eq!(reopened.lookup(5).unwrap(), entry(2));
+        // The next save replaces the torn temp file.
+        reopened.insert(6, entry(4));
+        reopened.save(&dir).unwrap();
+        assert_eq!(names(&dir), [crate::persist::STORE_FILE]);
+        assert_eq!(SumStore::open(&dir).unwrap().len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

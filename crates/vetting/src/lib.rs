@@ -15,9 +15,10 @@
 //!   against any engine: sequential Amandroid-style CPU, the
 //!   multithreaded-C baseline, or the simulated GPU with any optimization
 //!   ladder rung;
-//! * [`engines`] — the [`gdroid_core::AnalysisEngine`]-based dispatch:
-//!   per-job engine selection (worklist-GPU, relational-GPU, CPU
-//!   reference) with byte-identical reports across engines;
+//! * [`plan`] — one [`Plan`] (engine, optimization rung, exec mode,
+//!   targeted) and one [`run`] entry point that executes it through the
+//!   [`gdroid_core::AnalysisEngine`] trait, optionally backed by a
+//!   summary store and traced, with byte-identical reports across plans;
 //! * [`store_exec`] — the same pipeline backed by a cross-app
 //!   [`gdroid_sumstore::SumStore`]: store-hit library methods are
 //!   pre-solved and never scheduled;
@@ -30,9 +31,9 @@
 //!   aggregating every plugin into one scored verdict.
 
 pub mod assess;
-pub mod engines;
 pub mod json;
 pub mod pipeline;
+pub mod plan;
 pub mod plugins;
 pub mod registry;
 pub mod report;
@@ -41,21 +42,12 @@ pub mod taint;
 pub mod targeted;
 
 pub use assess::{assess_app, Assessment, RiskBand, Signal};
-pub use engines::{
-    engine_for, engine_for_mode, execute_vetting_engine, execute_vetting_engine_mode,
-    execute_vetting_engine_on_device, execute_vetting_engine_on_device_mode,
-    execute_vetting_engine_on_device_with_store, execute_vetting_engine_on_device_with_store_mode,
-    execute_vetting_engine_targeted_on_device, execute_vetting_engine_targeted_on_device_mode,
-    execute_vetting_engine_targeted_on_device_with_store,
-    execute_vetting_engine_targeted_on_device_with_store_mode, execute_vetting_engine_traced,
-    execute_vetting_engine_traced_mode,
-};
 pub use pipeline::{
     execute_vetting, execute_vetting_batch_on_device, execute_vetting_full,
-    execute_vetting_gpu_traced, execute_vetting_incremental, execute_vetting_on_device,
-    prepare_vetting, trace_stage_spans, vet_app, Engine, PreparedApp, VettingOutcome, VettingRun,
-    VettingTiming,
+    execute_vetting_incremental, prepare_vetting, trace_stage_spans, vet_app, Engine, PreparedApp,
+    VettingOutcome, VettingRun, VettingTiming,
 };
+pub use plan::{run, Plan, PlanError};
 pub use plugins::{
     hardcoded_payloads, intent_exposure, permission_audit, ExposureFinding, HardcodedFinding,
     PermissionAudit,
@@ -63,11 +55,7 @@ pub use plugins::{
 pub use registry::{SourceId, SourceSinkRegistry};
 pub use report::{Leak, Verdict, VettingReport};
 pub use store_exec::{
-    execute_vetting_full_with_store, execute_vetting_gpu_traced_with_store,
-    execute_vetting_on_device_with_store, execute_vetting_targeted_on_device_with_store, StoreUse,
+    execute_vetting_full_with_store, execute_vetting_on_device_with_store, StoreUse,
 };
 pub use taint::{TaintAnalysis, TaintStats};
-pub use targeted::{
-    compute_vetting_slice, execute_vetting_targeted, execute_vetting_targeted_on_device,
-    execute_vetting_targeted_traced, sink_reachability_findings, TargetedProvenance,
-};
+pub use targeted::{compute_vetting_slice, sink_reachability_findings, TargetedProvenance};

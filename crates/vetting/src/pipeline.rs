@@ -6,12 +6,13 @@
 //! stage so Fig. 1's total-vs-IDFG breakdown can be regenerated; per the
 //! paper, IDFG construction takes 58–96% of the total.
 
+use crate::plan::{run, Plan};
 use crate::registry::SourceSinkRegistry;
 use crate::report::VettingReport;
 use crate::taint::TaintAnalysis;
 use gdroid_analysis::{analyze_app, AppAnalysis, CpuCostModel, FactStore, StoreKind};
 use gdroid_apk::App;
-use gdroid_core::{gpu_analyze_app, gpu_analyze_app_on, OptConfig};
+use gdroid_core::{EngineAnalysis, EngineKind, OptConfig};
 use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
 use gdroid_icfg::{prepare_app, CallGraph, EnvironmentInfo};
 use gdroid_ir::MethodId;
@@ -179,22 +180,32 @@ pub(crate) fn finish_vetting(
     VettingRun { outcome, analysis }
 }
 
-/// Folds a GPU analysis into the CPU-shaped [`AppAnalysis`] a cache or
-/// incremental re-analysis consumes (the facts/summaries are bit-identical
-/// across engines; only cost models differ).
-pub(crate) fn gpu_to_app_analysis(gpu: gdroid_core::GpuAnalysis) -> AppAnalysis {
-    let store_bytes = gpu.facts.values().map(FactStore::memory_bytes).sum();
-    AppAnalysis {
-        spaces: gpu.spaces,
-        cfgs: gpu.cfgs,
-        facts: gpu.facts,
-        summaries: gpu.summaries,
-        telemetry: gpu.telemetry,
+/// Assembles the outcome from a finished engine run. The facts and
+/// summaries are bit-identical across engines; only cost models differ.
+/// GPU engines report device memory (the historical `store_bytes: 0`
+/// contract of `vet_app`), the CPU engine its host fact stores.
+pub(crate) fn finish_engine_run(
+    prep: &PreparedApp,
+    kind: EngineKind,
+    ea: EngineAnalysis,
+) -> VettingRun {
+    let store_bytes = ea.facts.values().map(FactStore::memory_bytes).sum();
+    let analysis = AppAnalysis {
+        spaces: ea.spaces,
+        cfgs: ea.cfgs,
+        facts: ea.facts,
+        summaries: ea.summaries,
+        telemetry: ea.telemetry,
         per_method: std::collections::HashMap::new(),
         store_bytes,
         store_kind: StoreKind::Matrix,
         schedule: Vec::new(),
+    };
+    let mut run = finish_vetting(prep, analysis, ea.idfg_ns);
+    if kind != EngineKind::Cpu {
+        run.outcome.store_bytes = 0;
     }
+    run
 }
 
 /// Executes the IDFG + taint stages on a prepared app, borrowing it (no
@@ -218,14 +229,10 @@ pub fn execute_vetting_full(prep: &PreparedApp, engine: Engine) -> VettingRun {
             finish_vetting(prep, analysis, idfg_ns)
         }
         Engine::Gpu(opts) => {
-            let gpu =
-                gpu_analyze_app(program, &prep.cg, &prep.roots, DeviceConfig::tesla_p40(), opts);
-            let idfg_ns = gpu.stats.total_ns;
-            // GPU engines report device memory, not host stores (the
-            // historical `store_bytes: 0` contract of `vet_app`).
-            let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-            run.outcome.store_bytes = 0;
-            run
+            let mut device = Device::new(DeviceConfig::tesla_p40());
+            run(prep, &Plan { opts, ..Plan::default() }, &mut device, None)
+                .expect("a fresh device has no fault plan")
+                .0
         }
     }
 }
@@ -235,27 +242,12 @@ pub fn execute_vetting(prep: &PreparedApp, engine: Engine) -> VettingOutcome {
     execute_vetting_full(prep, engine).outcome
 }
 
-/// GPU execution on an existing long-lived device — the serving path. An
-/// injected [`DeviceFault`] surfaces as `Err` so the caller can retry the
-/// job on the same or another device.
-pub fn execute_vetting_on_device(
-    prep: &PreparedApp,
-    device: &mut Device,
-    opts: OptConfig,
-) -> Result<VettingRun, DeviceFault> {
-    let gpu = gpu_analyze_app_on(device, &prep.app.program, &prep.cg, &prep.roots, opts)?;
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    Ok(run)
-}
-
 /// Co-resident batch execution of several prepared apps on one device
 /// (the serving layer's batch-forming mode): their per-layer launches are
 /// interleaved into shared kernels by [`gdroid_core::gpu_analyze_batch_on`]
 /// so small apps stop wasting block slots. Each returned [`VettingRun`] —
 /// report, timing, telemetry, the whole outcome JSON — is bit-identical
-/// to [`execute_vetting_on_device`] for the same app; the returned
+/// to a [`run`] of the default [`Plan`] at the same rung; the returned
 /// [`gdroid_core::BatchStats`] carries the shared-pipeline makespan and
 /// coresidency. An injected fault aborts the whole batch, and the caller
 /// retries the member jobs individually.
@@ -273,12 +265,7 @@ pub fn execute_vetting_batch_on_device(
         .apps
         .into_iter()
         .zip(preps)
-        .map(|(gpu, prep)| {
-            let idfg_ns = gpu.stats.total_ns;
-            let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-            run.outcome.store_bytes = 0;
-            run
-        })
+        .map(|(gpu, prep)| finish_engine_run(prep, EngineKind::Worklist, gpu.into()))
         .collect();
     Ok((runs, analysis.batch))
 }
@@ -334,32 +321,6 @@ pub fn trace_stage_spans(
         t += dur;
     }
     t
-}
-
-/// GPU execution with tracing: a fresh device records its kernel-launch
-/// and driver events into `tracer`, with its modeled clock advanced past
-/// the prep stages so those events nest inside the `idfg` stage span;
-/// the four stage spans are emitted once the run finishes. With a
-/// disabled tracer this is exactly [`execute_vetting_full`] on a GPU
-/// engine (asserted in tests and the tier-1 trace gate).
-pub fn execute_vetting_gpu_traced(
-    prep: &PreparedApp,
-    opts: OptConfig,
-    tracer: &gdroid_trace::Tracer,
-) -> VettingRun {
-    let mut device = Device::new(DeviceConfig::tesla_p40());
-    device.set_tracer(tracer.clone());
-    let prep_ns = prep.prep_timing.envgen_ns + prep.prep_timing.callgraph_ns;
-    device.advance_clock(prep_ns.round() as u64);
-    let gpu = gpu_analyze_app_on(&mut device, &prep.app.program, &prep.cg, &prep.roots, opts)
-        .expect("a fresh device has no fault plan");
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    if tracer.enabled() {
-        trace_stage_spans(tracer, &run.outcome.timing, 0, 0);
-    }
-    run
 }
 
 #[cfg(test)]
@@ -421,8 +382,8 @@ mod tests {
         use gdroid_gpusim::{Device, DeviceConfig};
         let prep = prepare_vetting(generate_app(0, 6401, &GenConfig::tiny()));
         let mut device = Device::new(DeviceConfig::tesla_p40());
-        let on_device = execute_vetting_on_device(&prep, &mut device, OptConfig::gdroid())
-            .expect("no fault plan");
+        let (on_device, _) =
+            run(&prep, &Plan::default(), &mut device, None).expect("no fault plan");
         let fresh = execute_vetting(&prep, Engine::Gpu(OptConfig::gdroid()));
         assert_eq!(on_device.outcome.report.to_json(), fresh.report.to_json());
         assert_eq!(on_device.outcome.timing.idfg_ns, fresh.timing.idfg_ns);
@@ -442,11 +403,11 @@ mod tests {
                 .expect("no fault plan");
         assert_eq!(runs.len(), preps.len());
         let mut solo_sum = 0.0f64;
-        for (prep, run) in preps.iter().zip(&runs) {
+        for (prep, batched) in preps.iter().zip(&runs) {
             let mut solo_dev = Device::new(DeviceConfig::tesla_p40());
-            let solo = execute_vetting_on_device(prep, &mut solo_dev, OptConfig::gdroid())
-                .expect("no fault plan");
-            assert_eq!(run.outcome.to_json(), solo.outcome.to_json());
+            let (solo, _) =
+                run(prep, &Plan::default(), &mut solo_dev, None).expect("no fault plan");
+            assert_eq!(batched.outcome.to_json(), solo.outcome.to_json());
             solo_sum += solo.outcome.timing.idfg_ns;
         }
         assert!(batch.makespan_ns <= solo_sum, "{} > {}", batch.makespan_ns, solo_sum);
@@ -468,9 +429,14 @@ mod tests {
     fn traced_run_matches_untraced_and_trace_is_deterministic() {
         let prep = prepare_vetting(generate_app(0, 6500, &GenConfig::tiny()));
         let untraced = execute_vetting(&prep, Engine::Gpu(OptConfig::gdroid()));
+        let traced = |tracer: &gdroid_trace::Tracer| {
+            let mut device = Device::new(DeviceConfig::tesla_p40());
+            device.set_tracer(tracer.clone());
+            run(&prep, &Plan::default(), &mut device, None).expect("no fault plan").0
+        };
         let run_traced = || {
             let tracer = gdroid_trace::Tracer::enabled_new();
-            let run = execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &tracer);
+            let run = traced(&tracer);
             (run.outcome.to_json(), tracer.to_chrome_json())
         };
         let (json_a, trace_a) = run_traced();
@@ -483,7 +449,7 @@ mod tests {
         }
         // Disabled tracer records nothing and still matches.
         let off = gdroid_trace::Tracer::disabled();
-        let run = execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &off);
+        let run = traced(&off);
         assert_eq!(run.outcome.to_json(), json_a);
         assert!(off.events().is_empty());
     }

@@ -12,15 +12,12 @@
 //! verdicts are byte-identical to a store-disabled run (tier-1 tested);
 //! only the modeled IDFG time shrinks.
 
-use crate::pipeline::{
-    execute_vetting_full, finish_vetting, gpu_to_app_analysis, trace_stage_spans, Engine,
-    PreparedApp, VettingRun,
-};
+use crate::pipeline::{execute_vetting_full, finish_vetting, Engine, PreparedApp, VettingRun};
+use crate::plan::{run, Plan};
 use gdroid_analysis::{
     analyze_app_presolved, CpuCostModel, Geometry, MatrixStore, MethodSpace, MethodSummary,
     StoreKind,
 };
-use gdroid_core::gpu_analyze_app_presolved_on;
 use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
 use gdroid_icfg::Cfg;
 use gdroid_ir::{MethodId, Program};
@@ -157,10 +154,15 @@ pub fn execute_vetting_full_with_store(
 ) -> (VettingRun, StoreUse) {
     let program = &prep.app.program;
     let (presolved, hashes) = match engine {
+        Engine::Gpu(opts) => {
+            let mut device = Device::new(DeviceConfig::tesla_p40());
+            return execute_vetting_on_device_with_store(prep, &mut device, opts, store)
+                .expect("a fresh device has no fault plan");
+        }
         Engine::MultithreadedCpu => {
             (HashMap::new(), canonical_hashes(program, &prep.cg, &prep.roots))
         }
-        _ => collect_presolved(prep, store),
+        Engine::AmandroidCpu => collect_presolved(prep, store),
     };
     let run = match engine {
         Engine::AmandroidCpu => {
@@ -169,126 +171,25 @@ pub fn execute_vetting_full_with_store(
             let idfg_ns = CpuCostModel::amandroid().sequential_ns(&analysis);
             finish_vetting(prep, analysis, idfg_ns)
         }
-        Engine::MultithreadedCpu => execute_vetting_full(prep, engine),
-        Engine::Gpu(opts) => {
-            let mut device = Device::new(DeviceConfig::tesla_p40());
-            let gpu = gpu_analyze_app_presolved_on(
-                &mut device,
-                program,
-                &prep.cg,
-                &prep.roots,
-                opts,
-                &presolved,
-            )
-            .expect("a fresh device has no fault plan");
-            let idfg_ns = gpu.stats.total_ns;
-            let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-            run.outcome.store_bytes = 0;
-            run
-        }
+        _ => execute_vetting_full(prep, engine),
     };
     let store_use = absorb_into_store(program, store, &hashes, &presolved, &run.analysis, None);
     (run, store_use)
 }
 
-/// [`crate::execute_vetting_gpu_traced`] backed by a summary store: the
-/// traced GPU path with pre-solved leaves. Store hits short-circuit whole
-/// subtrees out of the kernel schedule, so the trace records them as one
-/// `sumstore` instant (hit/miss counts and the hit methods) at the start
-/// of the IDFG stage rather than as launch spans.
-pub fn execute_vetting_gpu_traced_with_store(
-    prep: &PreparedApp,
-    opts: gdroid_core::OptConfig,
-    store: &SumStore,
-    tracer: &gdroid_trace::Tracer,
-) -> (VettingRun, StoreUse) {
-    let program = &prep.app.program;
-    let (presolved, hashes) = collect_presolved(prep, store);
-    let mut device = Device::new(DeviceConfig::tesla_p40());
-    device.set_tracer(tracer.clone());
-    let prep_ns = prep.prep_timing.envgen_ns + prep.prep_timing.callgraph_ns;
-    device.advance_clock(prep_ns.round() as u64);
-    if tracer.enabled() {
-        tracer.instant(
-            "vetting",
-            "sumstore",
-            device.clock_ns(),
-            0,
-            vec![
-                ("hits", (presolved.len() as u64).into()),
-                ("candidates", (hashes.len() as u64).into()),
-                ("package", prep.app.name.as_str().into()),
-            ],
-        );
-    }
-    let gpu =
-        gpu_analyze_app_presolved_on(&mut device, program, &prep.cg, &prep.roots, opts, &presolved)
-            .expect("a fresh device has no fault plan");
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    if tracer.enabled() {
-        trace_stage_spans(tracer, &run.outcome.timing, 0, 0);
-    }
-    let store_use = absorb_into_store(program, store, &hashes, &presolved, &run.analysis, None);
-    (run, store_use)
-}
-
-/// [`crate::execute_vetting_on_device`] backed by a summary store — the
-/// serving path. Store lookups happen before the device is touched; an
-/// injected fault surfaces as `Err` and the retry re-resolves against
-/// the store (counters may count the lookups twice; they are
-/// diagnostics, not accounting).
+/// A [`run`] of the worklist [`Plan`] at rung `opts` backed by a summary
+/// store, on an existing device. Store lookups happen before the device
+/// is touched; an injected fault surfaces as `Err` and the retry
+/// re-resolves against the store (counters may count the lookups twice;
+/// they are diagnostics, not accounting).
 pub fn execute_vetting_on_device_with_store(
     prep: &PreparedApp,
     device: &mut Device,
     opts: gdroid_core::OptConfig,
     store: &SumStore,
 ) -> Result<(VettingRun, StoreUse), DeviceFault> {
-    let program = &prep.app.program;
-    let (presolved, hashes) = collect_presolved(prep, store);
-    let gpu =
-        gpu_analyze_app_presolved_on(device, program, &prep.cg, &prep.roots, opts, &presolved)?;
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    let store_use = absorb_into_store(program, store, &hashes, &presolved, &run.analysis, None);
-    Ok((run, store_use))
-}
-
-/// [`crate::execute_vetting_targeted_on_device`] backed by a summary
-/// store: pre-solved hits are restricted to slice members (the
-/// intersection stays closed under slice-internal callee edges, since the
-/// presolved set is closed under *all* callee edges), and post-run
-/// insertion is restricted to the slice's exact members so partial-root
-/// results never enter the store.
-pub fn execute_vetting_targeted_on_device_with_store(
-    prep: &PreparedApp,
-    device: &mut Device,
-    opts: gdroid_core::OptConfig,
-    store: &SumStore,
-) -> Result<(VettingRun, StoreUse), DeviceFault> {
-    let program = &prep.app.program;
-    let slice = crate::targeted::compute_vetting_slice(prep);
-    let (all_presolved, hashes) = collect_presolved(prep, store);
-    let presolved: HashMap<MethodId, (MethodSummary, MatrixStore)> =
-        all_presolved.into_iter().filter(|(m, _)| slice.members.contains(m)).collect();
-    let gpu = gdroid_core::gpu_analyze_app_sliced_presolved_on(
-        device,
-        program,
-        &prep.cg,
-        &prep.roots,
-        opts,
-        &presolved,
-        &slice.members,
-    )?;
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    run.outcome.targeted = Some(crate::targeted::TargetedProvenance::of(&slice));
-    let store_use =
-        absorb_into_store(program, store, &hashes, &presolved, &run.analysis, Some(&slice.exact));
-    Ok((run, store_use))
+    run(prep, &Plan { opts, ..Plan::default() }, device, Some(store))
+        .map(|(run, used)| (run, used.expect("a store-backed run reports its store use")))
 }
 
 #[cfg(test)]
@@ -366,13 +267,10 @@ mod tests {
 
         // Cold targeted run populates the store with exact members only.
         let slice_a = crate::targeted::compute_vetting_slice(&prep_a);
-        let (run_a, use_a) = execute_vetting_targeted_on_device_with_store(
-            &prep_a,
-            &mut device,
-            OptConfig::gdroid(),
-            &store,
-        )
-        .expect("no fault plan");
+        let targeted = Plan { targeted: true, ..Plan::default() };
+        let (run_a, use_a) =
+            run(&prep_a, &targeted, &mut device, Some(&store)).expect("no fault plan");
+        let use_a = use_a.expect("store attached");
         assert!(run_a.outcome.targeted.is_some());
         let hashes_a = canonical_hashes(&prep_a.app.program, &prep_a.cg, &prep_a.roots);
         for root in &slice_a.roots {
@@ -385,13 +283,8 @@ mod tests {
 
         // A warm targeted run agrees with a store-free full run.
         let disabled = execute_vetting_full(&prep_b, Engine::Gpu(OptConfig::gdroid()));
-        let (warm_b, _) = execute_vetting_targeted_on_device_with_store(
-            &prep_b,
-            &mut device,
-            OptConfig::gdroid(),
-            &store,
-        )
-        .expect("no fault plan");
+        let (warm_b, _) =
+            run(&prep_b, &targeted, &mut device, Some(&store)).expect("no fault plan");
         assert_eq!(warm_b.outcome.report.to_json(), disabled.outcome.report.to_json());
     }
 

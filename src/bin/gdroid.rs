@@ -72,15 +72,19 @@
 //! summary store; `--scale F` scales the generator profile (default is
 //! the `small` profile, 0.25).
 //!
-//! `--engine` selects how the IDFG fixpoint is computed. `vet` accepts
-//! the worklist ladder rungs (`plain|mat|matgrp|gdroid`), the CPU
-//! baselines (`mtcpu|amandroid`), and the `AnalysisEngine` kinds
-//! behind the engine trait: `worklist` (the full-GDroid rung), `rel`
-//! (the relational semi-naive GPU backend), and `cpu` (the sequential
-//! reference solver). `serve`, `batch`, and `campaign` accept
-//! `--engine worklist|rel|cpu`; non-worklist engines bypass the result
-//! cache and co-resident batching (see `gdroid engines`). Facts and
-//! verdicts are byte-identical across engines — only modeled timing
+//! `vet`, `serve`, `batch`, and `campaign` parse one execution plan from
+//! the same flags: `--engine`, `--exec`, and `--targeted`. `--engine`
+//! selects how the IDFG fixpoint is computed: a worklist ladder rung
+//! (`plain|mat|matgrp|gdroid`) or an `AnalysisEngine` kind behind the
+//! engine trait — `worklist` (the full-GDroid rung), `rel` (the
+//! relational semi-naive GPU backend), or `cpu` (the sequential
+//! reference solver). `campaign` runs the `gdroid` rung only. `vet`
+//! also takes the CPU baselines of Figs. 1 and 4 (`mtcpu|amandroid`),
+//! which run outside the plan and take neither `--targeted` nor
+//! `--exec persistent`. A plan the engine cannot run (see
+//! `gdroid engines`) exits 2. Only the full multi-launch worklist plan
+//! uses the service's result cache and co-resident batching. Facts and
+//! verdicts are byte-identical across plans — only modeled timing
 //! differs.
 //!
 //! `--exec persistent` switches the worklist engine to the
@@ -113,13 +117,8 @@ use gdroid::serve::{
 use gdroid::sumstore::SumStore;
 use gdroid::trace::Tracer;
 use gdroid::vetting::{
-    execute_vetting, execute_vetting_engine_on_device_mode,
-    execute_vetting_engine_on_device_with_store_mode,
-    execute_vetting_engine_targeted_on_device_mode,
-    execute_vetting_engine_targeted_on_device_with_store_mode, execute_vetting_full_with_store,
-    execute_vetting_gpu_traced, execute_vetting_gpu_traced_with_store, execute_vetting_targeted,
-    execute_vetting_targeted_on_device_with_store, execute_vetting_targeted_traced,
-    prepare_vetting, sink_reachability_findings, trace_stage_spans, vet_app, Engine,
+    execute_vetting_full, execute_vetting_full_with_store, prepare_vetting, run,
+    sink_reachability_findings, trace_stage_spans, Engine, Plan,
 };
 use std::process::exit;
 use std::sync::Arc;
@@ -127,26 +126,23 @@ use std::sync::Arc;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  gdroid gen <seed> [out.jil]\n  gdroid vet <app.jil|seed> \
-         [--engine plain|mat|matgrp|gdroid|worklist|rel|cpu|mtcpu|amandroid] \
-         [--exec multi|persistent] [--targeted] \
-         [--sumstore <dir>] [--trace <out.json>] [--json]\n  \
+         [PLAN | --engine mtcpu|amandroid] [--sumstore <dir>] [--trace <out.json>] [--json]\n  \
          gdroid engines\n  \
          gdroid lint <app.jil|seed>\n  \
          gdroid stats <app.jil|seed>\n  \
          gdroid corpus <n>\n  gdroid dot <app.jil|seed> [out.dot]\n  gdroid export <n> <dir>\n  \
          gdroid assess <app.jil|seed> [--json]\n  \
          gdroid serve --apps N [--workers K] [--devices D] [--coresident C] [--faults P:B] \
-         [--engine worklist|rel|cpu] [--exec multi|persistent] [--targeted-lane] \
+         [PLAN] [--targeted-lane] [--sumstore <dir>] [--trace-dir <dir>] [--digest] [--json]\n  \
+         gdroid batch <bundle-dir> [--workers K] [--devices D] [--coresident C] [PLAN] \
          [--sumstore <dir>] [--trace-dir <dir>] [--digest] [--json]\n  \
-         gdroid batch <bundle-dir> [--workers K] [--devices D] [--coresident C] \
-         [--engine worklist|rel|cpu] [--exec multi|persistent] [--sumstore <dir>] \
-         [--trace-dir <dir>] [--digest] [--json]\n  \
          gdroid sumstore stats|clear <dir>\n  \
          gdroid campaign --apps N [--shards S] [--seed X] [--workers K] [--devices D] \
-         [--coresident C] [--engine worklist|rel|cpu] [--exec multi|persistent] [--targeted] \
-         [--sumstore] [--scale F] \
+         [--coresident C] [PLAN] [--sumstore] [--scale F] \
          [--snapshot] [--rotate N] [--shared-store] [--delta DIR] [--updates PPM[:SALT]] \
-         [--journal-dir DIR] [--out FILE] [--verdicts FILE] [--trace-dir DIR] [--fresh] [--json]"
+         [--journal-dir DIR] [--out FILE] [--verdicts FILE] [--trace-dir DIR] [--fresh] [--json]\n\
+         PLAN: [--engine plain|mat|matgrp|gdroid|worklist|rel|cpu] [--exec multi|persistent] \
+         [--targeted]"
     );
     exit(2)
 }
@@ -161,22 +157,28 @@ fn flag_str<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
-/// Parses `--engine worklist|rel|cpu` for the service-backed verbs
-/// (serve, batch, campaign). Defaults to the worklist engine.
-fn service_engine(args: &[String]) -> EngineKind {
+/// Parses the plan flags every vetting verb shares — `--engine` (a
+/// ladder rung or an engine kind), `--exec`, and `--targeted` — and
+/// checks the plan against the engine's caps, with `store` saying
+/// whether a summary store is attached. Exits 2 on a plan the engine
+/// cannot run.
+fn parse_plan(args: &[String], store: bool) -> Plan {
+    let mut plan = Plan { targeted: args.iter().any(|a| a == "--targeted"), ..Plan::default() };
     match flag_str(args, "--engine") {
-        None => EngineKind::Worklist,
-        Some(s) => EngineKind::parse(s).unwrap_or_else(|| usage()),
+        None | Some("gdroid") => {}
+        Some("plain") => plan.opts = OptConfig::plain(),
+        Some("mat") => plan.opts = OptConfig::mat(),
+        Some("matgrp") => plan.opts = OptConfig::mat_grp(),
+        Some(s) => plan.engine = EngineKind::parse(s).unwrap_or_else(|| usage()),
     }
-}
-
-/// Parses `--exec multi|persistent` for the verbs that run worklist
-/// kernels. Defaults to classic per-round multi-launch execution.
-fn service_exec(args: &[String]) -> ExecMode {
-    match flag_str(args, "--exec") {
-        None => ExecMode::MultiLaunch,
-        Some(s) => ExecMode::parse(s).unwrap_or_else(|| usage()),
+    if let Some(s) = flag_str(args, "--exec") {
+        plan.exec = ExecMode::parse(s).unwrap_or_else(|| usage());
     }
+    if let Err(e) = plan.validate(store) {
+        eprintln!("{e} (see `gdroid engines`)");
+        exit(2);
+    }
+    plan
 }
 
 /// Opens (or starts empty) the summary store persisted under `dir`.
@@ -285,10 +287,11 @@ fn finish_service(svc: VettingService, args: &[String], expected: usize) -> i32 
             report.counters.retries,
             report.apps_per_sec,
         );
-        if report.counters.targeted_jobs > 0 {
+        let targeted_jobs = report.counters.targeted_jobs();
+        if targeted_jobs > 0 {
             eprintln!(
-                "targeted lane: {} job(s), mean sliced fraction {:.3}",
-                report.counters.targeted_jobs, report.mean_sliced_fraction,
+                "targeted lane: {targeted_jobs} job(s), mean sliced fraction {:.3}",
+                report.mean_sliced_fraction,
             );
         }
         if report.sumstore.hits + report.sumstore.insertions > 0 {
@@ -375,191 +378,56 @@ fn main() {
         }
         "vet" => {
             let Some(target) = args.get(1) else { usage() };
-            // The ladder rungs and CPU baselines keep their legacy
-            // dispatch; the trait-backed kinds go through the engine
-            // layer. `cpu` is the sequential reference engine; the old
-            // multithreaded baseline is spelled `mtcpu`.
-            enum VetEngine {
-                Legacy(Engine),
-                Kind(EngineKind),
-            }
-            let vet_engine = match args.iter().position(|a| a == "--engine") {
-                Some(i) => match args.get(i + 1).map(String::as_str) {
-                    Some("plain") => VetEngine::Legacy(Engine::Gpu(OptConfig::plain())),
-                    Some("mat") => VetEngine::Legacy(Engine::Gpu(OptConfig::mat())),
-                    Some("matgrp") => VetEngine::Legacy(Engine::Gpu(OptConfig::mat_grp())),
-                    Some("gdroid") => VetEngine::Legacy(Engine::Gpu(OptConfig::gdroid())),
-                    Some("mtcpu") => VetEngine::Legacy(Engine::MultithreadedCpu),
-                    Some("amandroid") => VetEngine::Legacy(Engine::AmandroidCpu),
-                    Some(s) => match EngineKind::parse(s) {
-                        Some(kind) => VetEngine::Kind(kind),
-                        None => usage(),
-                    },
-                    None => usage(),
-                },
-                None => VetEngine::Legacy(Engine::Gpu(OptConfig::gdroid())),
-            };
-            let exec = service_exec(&args);
-            let vet_engine = match (exec, vet_engine) {
-                (ExecMode::MultiLaunch, e) => e,
-                (ExecMode::Persistent, VetEngine::Kind(kind)) => {
-                    if !kind.caps().persistent {
-                        eprintln!(
-                            "engine {kind} does not support --exec persistent \
-                             (see `gdroid engines`)"
-                        );
-                        exit(2);
-                    }
-                    VetEngine::Kind(kind)
-                }
-                (ExecMode::Persistent, VetEngine::Legacy(_)) => {
-                    if args.iter().any(|a| a == "--engine") {
-                        eprintln!(
-                            "--exec persistent requires the worklist engine (see `gdroid engines`)"
-                        );
-                        exit(2);
-                    }
-                    // Default engine: route through the worklist engine
-                    // kind, whose dispatch owns the exec-mode plumbing.
-                    VetEngine::Kind(EngineKind::Worklist)
-                }
-            };
-            let app = load_app(target);
+            let prep = prepare_vetting(load_app(target));
             let trace_path = flag_str(&args, "--trace");
             let tracer =
                 if trace_path.is_some() { Tracer::enabled_new() } else { Tracer::disabled() };
-            let outcome = if let VetEngine::Kind(kind) = &vet_engine {
-                let kind = *kind;
-                let targeted = args.iter().any(|a| a == "--targeted");
-                if targeted && !kind.caps().targeted {
-                    eprintln!("engine {kind} does not support --targeted (see `gdroid engines`)");
-                    exit(2);
+            let store_dir = flag_str(&args, "--sumstore");
+            let store = store_dir.map(open_sumstore);
+            let (outcome, used) = match flag_str(&args, "--engine") {
+                // The CPU baselines of Figs. 1 and 4 run outside the
+                // engine trait, so they have no plan and trace only the
+                // stage spans.
+                Some(name @ ("amandroid" | "mtcpu")) => {
+                    let exec = flag_str(&args, "--exec").unwrap_or("multi");
+                    if args.iter().any(|a| a == "--targeted") || exec != "multi" {
+                        eprintln!(
+                            "--engine {name} is a CPU baseline: it takes neither --targeted \
+                             nor --exec persistent"
+                        );
+                        exit(2);
+                    }
+                    let engine = if name == "amandroid" {
+                        Engine::AmandroidCpu
+                    } else {
+                        Engine::MultithreadedCpu
+                    };
+                    let (run, used) = match &store {
+                        Some(store) => {
+                            let (run, used) = execute_vetting_full_with_store(&prep, engine, store);
+                            (run, Some(used))
+                        }
+                        None => (execute_vetting_full(&prep, engine), None),
+                    };
+                    if tracer.enabled() {
+                        trace_stage_spans(&tracer, &run.outcome.timing, 0, 0);
+                    }
+                    (run.outcome, used)
                 }
-                let store_dir = flag_str(&args, "--sumstore");
-                if store_dir.is_some() && !kind.caps().sumstore {
-                    eprintln!("engine {kind} does not support --sumstore (see `gdroid engines`)");
-                    exit(2);
-                }
-                let prep = prepare_vetting(app);
-                let mut device =
-                    gdroid::gpusim::Device::new(gdroid::gpusim::DeviceConfig::tesla_p40());
-                if tracer.enabled() {
-                    // Nest device events inside the idfg stage span, as
-                    // the traced pipeline paths do.
+                _ => {
+                    let plan = parse_plan(&args, store.is_some());
+                    let mut device =
+                        gdroid::gpusim::Device::new(gdroid::gpusim::DeviceConfig::tesla_p40());
                     device.set_tracer(tracer.clone());
-                    let prep_ns = prep.prep_timing.envgen_ns + prep.prep_timing.callgraph_ns;
-                    device.advance_clock(prep_ns.round() as u64);
-                }
-                let run = match store_dir {
-                    Some(dir) => {
-                        let store = open_sumstore(dir);
-                        let (run, used) = if targeted {
-                            execute_vetting_engine_targeted_on_device_with_store_mode(
-                                &prep,
-                                &mut device,
-                                kind,
-                                &store,
-                                exec,
-                            )
-                        } else {
-                            execute_vetting_engine_on_device_with_store_mode(
-                                &prep,
-                                &mut device,
-                                kind,
-                                &store,
-                                exec,
-                            )
-                        }
+                    let (run, used) = run(&prep, &plan, &mut device, store.as_ref())
                         .expect("a fresh device has no fault plan");
-                        save_sumstore(&store, dir);
-                        eprintln!("sumstore: {} hit(s), {} miss(es)", used.hits, used.misses);
-                        run
-                    }
-                    None if targeted => execute_vetting_engine_targeted_on_device_mode(
-                        &prep,
-                        &mut device,
-                        kind,
-                        exec,
-                    )
-                    .expect("a fresh device has no fault plan"),
-                    None => execute_vetting_engine_on_device_mode(&prep, &mut device, kind, exec)
-                        .expect("a fresh device has no fault plan"),
-                };
-                if tracer.enabled() {
-                    trace_stage_spans(&tracer, &run.outcome.timing, 0, 0);
-                }
-                run.outcome
-            } else if args.iter().any(|a| a == "--targeted") {
-                let VetEngine::Legacy(engine) = vet_engine else { unreachable!() };
-                let Engine::Gpu(opts) = engine else {
-                    eprintln!("--targeted requires a GPU engine (the sliced worklist)");
-                    exit(2);
-                };
-                let prep = prepare_vetting(app);
-                match flag_str(&args, "--sumstore") {
-                    Some(dir) => {
-                        let store = open_sumstore(dir);
-                        let mut device =
-                            gdroid::gpusim::Device::new(gdroid::gpusim::DeviceConfig::tesla_p40());
-                        let (run, used) = execute_vetting_targeted_on_device_with_store(
-                            &prep,
-                            &mut device,
-                            opts,
-                            &store,
-                        )
-                        .expect("a fresh device has no fault plan");
-                        save_sumstore(&store, dir);
-                        eprintln!("sumstore: {} hit(s), {} miss(es)", used.hits, used.misses);
-                        if tracer.enabled() {
-                            trace_stage_spans(&tracer, &run.outcome.timing, 0, 0);
-                        }
-                        run.outcome
-                    }
-                    None if tracer.enabled() => {
-                        execute_vetting_targeted_traced(&prep, opts, &tracer).outcome
-                    }
-                    None => execute_vetting_targeted(&prep, opts).outcome,
-                }
-            } else {
-                let VetEngine::Legacy(engine) = vet_engine else { unreachable!() };
-                match flag_str(&args, "--sumstore") {
-                    Some(dir) => {
-                        let store = open_sumstore(dir);
-                        let prep = prepare_vetting(app);
-                        let (run, used) = match engine {
-                            Engine::Gpu(opts) if tracer.enabled() => {
-                                execute_vetting_gpu_traced_with_store(&prep, opts, &store, &tracer)
-                            }
-                            engine => {
-                                let (run, used) =
-                                    execute_vetting_full_with_store(&prep, engine, &store);
-                                if tracer.enabled() {
-                                    // CPU engines trace stage spans only.
-                                    trace_stage_spans(&tracer, &run.outcome.timing, 0, 0);
-                                }
-                                (run, used)
-                            }
-                        };
-                        save_sumstore(&store, dir);
-                        eprintln!("sumstore: {} hit(s), {} miss(es)", used.hits, used.misses);
-                        run.outcome
-                    }
-                    None if tracer.enabled() => {
-                        let prep = prepare_vetting(app);
-                        match engine {
-                            Engine::Gpu(opts) => {
-                                execute_vetting_gpu_traced(&prep, opts, &tracer).outcome
-                            }
-                            engine => {
-                                let outcome = execute_vetting(&prep, engine);
-                                trace_stage_spans(&tracer, &outcome.timing, 0, 0);
-                                outcome
-                            }
-                        }
-                    }
-                    None => vet_app(app, engine),
+                    (run.outcome, used)
                 }
             };
+            if let (Some(dir), Some(store), Some(used)) = (store_dir, &store, used) {
+                save_sumstore(store, dir);
+                eprintln!("sumstore: {} hit(s), {} miss(es)", used.hits, used.misses);
+            }
             if let Some(path) = trace_path {
                 std::fs::write(path, tracer.to_chrome_json()).unwrap_or_else(|e| {
                     eprintln!("cannot write {path}: {e}");
@@ -695,6 +563,7 @@ fn main() {
                 }
             });
             let store_dir = flag_str(&args, "--sumstore");
+            let plan = parse_plan(&args, store_dir.is_some());
             let sumstore = store_dir.map(|dir| Arc::new(open_sumstore(dir)));
             let svc = VettingService::start(ServiceConfig {
                 prep_workers: workers,
@@ -702,8 +571,7 @@ fn main() {
                 fault_plan,
                 sumstore: sumstore.clone(),
                 coresident: flag_value(&args, "--coresident").unwrap_or(1),
-                engine: service_engine(&args),
-                exec: service_exec(&args),
+                plan,
                 ..ServiceConfig::default()
             });
             let targeted_lane = args.iter().any(|a| a == "--targeted-lane");
@@ -753,14 +621,14 @@ fn main() {
             }
             let n = bundles.len();
             let store_dir = flag_str(&args, "--sumstore");
+            let plan = parse_plan(&args, store_dir.is_some());
             let sumstore = store_dir.map(|dir| Arc::new(open_sumstore(dir)));
             let svc = VettingService::start(ServiceConfig {
                 prep_workers: workers,
                 devices,
                 sumstore: sumstore.clone(),
                 coresident: flag_value(&args, "--coresident").unwrap_or(1),
-                engine: service_engine(&args),
-                exec: service_exec(&args),
+                plan,
                 ..ServiceConfig::default()
             });
             for path in bundles {
@@ -847,6 +715,12 @@ fn main() {
                     }
                 }
             };
+            let sumstore = args.iter().any(|a| a == "--sumstore");
+            let plan = parse_plan(&args, sumstore);
+            if plan.opts != OptConfig::gdroid() {
+                eprintln!("campaign runs the gdroid rung: --engine takes worklist|rel|cpu");
+                exit(2);
+            }
             let config = gdroid::campaign::CampaignConfig {
                 apps,
                 shards,
@@ -856,10 +730,10 @@ fn main() {
                 prep_workers: flag_value(&args, "--workers").unwrap_or(2),
                 devices: flag_value(&args, "--devices").unwrap_or(2),
                 coresident: flag_value(&args, "--coresident").unwrap_or(1),
-                targeted: args.iter().any(|a| a == "--targeted"),
-                sumstore: args.iter().any(|a| a == "--sumstore"),
-                engine: service_engine(&args),
-                exec: service_exec(&args),
+                targeted: plan.targeted,
+                sumstore,
+                engine: plan.engine,
+                exec: plan.exec,
                 trace_dir: flag_str(&args, "--trace-dir").map(Into::into),
                 rotate_records,
                 shared_stores: args.iter().any(|a| a == "--shared-store"),

@@ -6,9 +6,7 @@
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
 use gdroid::core::OptConfig;
 use gdroid::gpusim::{Device, DeviceConfig};
-use gdroid::vetting::{
-    execute_vetting_batch_on_device, execute_vetting_on_device, prepare_vetting, PreparedApp,
-};
+use gdroid::vetting::{execute_vetting_batch_on_device, prepare_vetting, run, Plan, PreparedApp};
 
 const CORPUS: usize = 20;
 
@@ -27,10 +25,10 @@ fn batched_outcomes_are_byte_identical_to_solo_across_coresidency() {
     let mut solo_json = Vec::with_capacity(CORPUS);
     let mut solo_ns = Vec::with_capacity(CORPUS);
     for prep in &preps {
-        let run = execute_vetting_on_device(prep, &mut device, OptConfig::gdroid())
-            .expect("no fault plan installed");
-        solo_ns.push(run.outcome.timing.idfg_ns);
-        solo_json.push(run.outcome.to_json());
+        let (solo, _) =
+            run(prep, &Plan::default(), &mut device, None).expect("no fault plan installed");
+        solo_ns.push(solo.outcome.timing.idfg_ns);
+        solo_json.push(solo.outcome.to_json());
     }
 
     for coresident in [1usize, 2, 4] {

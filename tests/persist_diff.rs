@@ -6,14 +6,11 @@
 //! `persist_diff.proptest-regressions`.
 
 use gdroid::apk::{generate_app, GenConfig};
-use gdroid::core::{EngineKind, ExecMode};
+use gdroid::core::ExecMode;
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
 use gdroid::sumstore::SumStore;
-use gdroid::vetting::{
-    execute_vetting_engine_mode, execute_vetting_engine_on_device_with_store_mode,
-    execute_vetting_engine_targeted_on_device_mode, prepare_vetting, VettingRun,
-};
+use gdroid::vetting::{prepare_vetting, run, Plan, VettingRun};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -25,32 +22,10 @@ fn fact_map(run: &VettingRun) -> BTreeMap<MethodId, Vec<u64>> {
 /// fresh device and (for the store variant) a fresh store, so the two
 /// modes see equivalent starting state.
 fn run_variant(prep: &gdroid::vetting::PreparedApp, variant: usize, exec: ExecMode) -> VettingRun {
-    match variant {
-        0 => execute_vetting_engine_mode(prep, EngineKind::Worklist, exec),
-        1 => {
-            let store = SumStore::new();
-            let mut device = Device::new(DeviceConfig::tesla_p40());
-            execute_vetting_engine_on_device_with_store_mode(
-                prep,
-                &mut device,
-                EngineKind::Worklist,
-                &store,
-                exec,
-            )
-            .expect("a fresh device has no fault plan")
-            .0
-        }
-        _ => {
-            let mut device = Device::new(DeviceConfig::tesla_p40());
-            execute_vetting_engine_targeted_on_device_mode(
-                prep,
-                &mut device,
-                EngineKind::Worklist,
-                exec,
-            )
-            .expect("a fresh device has no fault plan")
-        }
-    }
+    let plan = Plan { exec, targeted: variant == 2, ..Plan::default() };
+    let store = (variant == 1).then(SumStore::new);
+    let mut device = Device::new(DeviceConfig::tesla_p40());
+    run(prep, &plan, &mut device, store.as_ref()).expect("a fresh device has no fault plan").0
 }
 
 proptest! {

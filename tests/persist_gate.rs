@@ -11,20 +11,27 @@
 //!   launch span and stays byte-identical to the untraced run.
 
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
-use gdroid::core::{EngineKind, ExecMode};
+use gdroid::core::ExecMode;
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
 use gdroid::trace::Tracer;
-use gdroid::vetting::{
-    execute_vetting_engine_mode, execute_vetting_engine_on_device_mode,
-    execute_vetting_engine_traced_mode, prepare_vetting, PreparedApp, VettingRun,
-};
+use gdroid::vetting::{prepare_vetting, run, Plan, PreparedApp, VettingRun};
 use std::collections::BTreeMap;
 
 const GATE_APPS: usize = 20;
 
 fn gate_prep(index: usize) -> PreparedApp {
     prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &GenConfig::tiny()))
+}
+
+/// The worklist engine in `exec` mode.
+fn worklist(exec: ExecMode) -> Plan {
+    Plan { exec, ..Plan::default() }
+}
+
+/// Vets `prep` under `plan` on `device`.
+fn vet_on(prep: &PreparedApp, plan: Plan, device: &mut Device) -> VettingRun {
+    run(prep, &plan, device, None).expect("a fresh device has no fault plan").0
 }
 
 /// The mode-invariant fixpoint, in comparable form: per-method bitmap
@@ -41,21 +48,9 @@ fn persistent_matches_multi_launch_over_the_gate_corpus() {
     for index in 0..GATE_APPS {
         let prep = gate_prep(index);
         let mut md = Device::new(DeviceConfig::tesla_p40());
-        let multi = execute_vetting_engine_on_device_mode(
-            &prep,
-            &mut md,
-            EngineKind::Worklist,
-            ExecMode::MultiLaunch,
-        )
-        .expect("a fresh device has no fault plan");
+        let multi = vet_on(&prep, worklist(ExecMode::MultiLaunch), &mut md);
         let mut pd = Device::new(DeviceConfig::tesla_p40());
-        let persist = execute_vetting_engine_on_device_mode(
-            &prep,
-            &mut pd,
-            EngineKind::Worklist,
-            ExecMode::Persistent,
-        )
-        .expect("a fresh device has no fault plan");
+        let persist = vet_on(&prep, worklist(ExecMode::Persistent), &mut pd);
 
         assert_eq!(
             persist.outcome.report.to_json(),
@@ -95,15 +90,15 @@ fn persistent_matches_multi_launch_over_the_gate_corpus() {
 fn traced_persistent_runs_nest_rounds_inside_one_launch_span() {
     for index in 0..4 {
         let prep = gate_prep(index);
-        let untraced =
-            execute_vetting_engine_mode(&prep, EngineKind::Worklist, ExecMode::Persistent);
-        let tracer = Tracer::enabled_new();
-        let traced = execute_vetting_engine_traced_mode(
+        let untraced = vet_on(
             &prep,
-            EngineKind::Worklist,
-            ExecMode::Persistent,
-            &tracer,
+            worklist(ExecMode::Persistent),
+            &mut Device::new(DeviceConfig::tesla_p40()),
         );
+        let tracer = Tracer::enabled_new();
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        device.set_tracer(tracer.clone());
+        let traced = vet_on(&prep, worklist(ExecMode::Persistent), &mut device);
         assert_eq!(
             traced.outcome.to_json(),
             untraced.outcome.to_json(),

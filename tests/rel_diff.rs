@@ -6,13 +6,21 @@
 
 use gdroid::apk::{generate_app, GenConfig};
 use gdroid::core::EngineKind;
+use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
-use gdroid::vetting::{execute_vetting_engine, prepare_vetting, VettingRun};
+use gdroid::vetting::{prepare_vetting, run, Plan, PreparedApp, VettingRun};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 fn fact_map(run: &VettingRun) -> BTreeMap<MethodId, Vec<u64>> {
     run.analysis.facts.iter().map(|(m, s)| (*m, s.flat_words())).collect()
+}
+
+/// Vets `prep` with the engine `kind` on a fresh device.
+fn vet_with(prep: &PreparedApp, kind: EngineKind) -> VettingRun {
+    let mut device = Device::new(DeviceConfig::tesla_p40());
+    let plan = Plan { engine: kind, ..Plan::default() };
+    run(prep, &plan, &mut device, None).expect("a fresh device has no fault plan").0
 }
 
 proptest! {
@@ -21,9 +29,9 @@ proptest! {
     #[test]
     fn engines_agree_on_random_apps(seed in 0u64..500) {
         let prep = prepare_vetting(generate_app(0, seed, &GenConfig::tiny()));
-        let worklist = execute_vetting_engine(&prep, EngineKind::Worklist);
-        let rel = execute_vetting_engine(&prep, EngineKind::Rel);
-        let cpu = execute_vetting_engine(&prep, EngineKind::Cpu);
+        let worklist = vet_with(&prep, EngineKind::Worklist);
+        let rel = vet_with(&prep, EngineKind::Rel);
+        let cpu = vet_with(&prep, EngineKind::Cpu);
 
         let reference = worklist.outcome.report.to_json();
         prop_assert_eq!(&rel.outcome.report.to_json(), &reference, "rel report diverged");

@@ -15,17 +15,39 @@ use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
 use gdroid::sumstore::SumStore;
 use gdroid::trace::Tracer;
-use gdroid::vetting::{
-    execute_vetting_engine, execute_vetting_engine_on_device,
-    execute_vetting_engine_on_device_with_store, execute_vetting_engine_targeted_on_device,
-    execute_vetting_engine_traced, prepare_vetting, PreparedApp, VettingRun,
-};
+use gdroid::vetting::{prepare_vetting, run, Plan, PreparedApp, StoreUse, VettingRun};
 use std::collections::BTreeMap;
 
 const GATE_APPS: usize = 20;
 
 fn gate_prep(index: usize) -> PreparedApp {
     prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &GenConfig::tiny()))
+}
+
+/// The full multi-launch plan of the engine `kind`.
+fn engine(kind: EngineKind) -> Plan {
+    Plan { engine: kind, ..Plan::default() }
+}
+
+/// Vets `prep` under `plan` on `device`.
+fn vet_on(prep: &PreparedApp, plan: Plan, device: &mut Device) -> VettingRun {
+    run(prep, &plan, device, None).expect("a fresh device has no fault plan").0
+}
+
+/// Vets `prep` with the engine `kind` on a fresh device.
+fn vet_with(prep: &PreparedApp, kind: EngineKind) -> VettingRun {
+    vet_on(prep, engine(kind), &mut Device::new(DeviceConfig::tesla_p40()))
+}
+
+/// Vets `prep` with the rel engine on `device`, backed by `store`.
+fn rel_with_store(
+    prep: &PreparedApp,
+    device: &mut Device,
+    store: &SumStore,
+) -> (VettingRun, StoreUse) {
+    let (run, used) = run(prep, &engine(EngineKind::Rel), device, Some(store))
+        .expect("a fresh device has no fault plan");
+    (run, used.expect("a store-backed run reports its store use"))
 }
 
 /// The engine-invariant fixpoint, in comparable form: per-method bitmap
@@ -41,11 +63,7 @@ fn three_engines_agree_over_the_gate_corpus() {
         let mut runs = Vec::new();
         for kind in EngineKind::ALL {
             let mut device = Device::new(DeviceConfig::tesla_p40());
-            runs.push((
-                kind,
-                execute_vetting_engine_on_device(&prep, &mut device, kind)
-                    .expect("a fresh device has no fault plan"),
-            ));
+            runs.push((kind, vet_on(&prep, engine(kind), &mut device)));
         }
         let (_, reference) = &runs[0];
         let reference_report = reference.outcome.report.to_json();
@@ -72,14 +90,8 @@ fn rel_composes_with_the_summary_store() {
     let mut device = Device::new(DeviceConfig::tesla_p40());
     for index in 0..4 {
         let prep = prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &config));
-        let baseline = execute_vetting_engine(&prep, EngineKind::Rel);
-        let (run, _) = execute_vetting_engine_on_device_with_store(
-            &prep,
-            &mut device,
-            EngineKind::Rel,
-            &store,
-        )
-        .expect("a fresh device has no fault plan");
+        let baseline = vet_with(&prep, EngineKind::Rel);
+        let (run, _) = rel_with_store(&prep, &mut device, &store);
         assert_eq!(
             run.outcome.report.to_json(),
             baseline.outcome.report.to_json(),
@@ -90,14 +102,12 @@ fn rel_composes_with_the_summary_store() {
     // Warm pass over the same corpus: the shared-library pool must hit.
     let before = store.stats().hits;
     let prep = prepare_vetting(generate_app(0, PAPER_MASTER_SEED, &config));
-    let (warm, used) =
-        execute_vetting_engine_on_device_with_store(&prep, &mut device, EngineKind::Rel, &store)
-            .expect("a fresh device has no fault plan");
+    let (warm, used) = rel_with_store(&prep, &mut device, &store);
     assert!(used.hits > 0, "warm rel pass must pre-solve from the store");
     assert!(store.stats().hits > before);
     assert_eq!(
         warm.outcome.report.to_json(),
-        execute_vetting_engine(&prep, EngineKind::Rel).outcome.report.to_json(),
+        vet_with(&prep, EngineKind::Rel).outcome.report.to_json(),
     );
 }
 
@@ -106,10 +116,9 @@ fn rel_composes_with_targeted_slicing() {
     for index in 0..6 {
         let prep = gate_prep(index);
         let mut device = Device::new(DeviceConfig::tesla_p40());
-        let full = execute_vetting_engine_on_device(&prep, &mut device, EngineKind::Rel)
-            .expect("a fresh device has no fault plan");
-        let sliced = execute_vetting_engine_targeted_on_device(&prep, &mut device, EngineKind::Rel)
-            .expect("a fresh device has no fault plan");
+        let full = vet_on(&prep, engine(EngineKind::Rel), &mut device);
+        let targeted = Plan { targeted: true, ..engine(EngineKind::Rel) };
+        let sliced = vet_on(&prep, targeted, &mut device);
         assert_eq!(
             sliced.outcome.report.to_json(),
             full.outcome.report.to_json(),
@@ -128,9 +137,11 @@ fn rel_composes_with_targeted_slicing() {
 fn tracing_never_perturbs_rel_outcomes() {
     for index in 0..6 {
         let prep = gate_prep(index);
-        let untraced = execute_vetting_engine(&prep, EngineKind::Rel);
+        let untraced = vet_with(&prep, EngineKind::Rel);
         let tracer = Tracer::enabled_new();
-        let traced = execute_vetting_engine_traced(&prep, EngineKind::Rel, &tracer);
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        device.set_tracer(tracer.clone());
+        let traced = vet_on(&prep, engine(EngineKind::Rel), &mut device);
         assert_eq!(
             traced.outcome.to_json(),
             untraced.outcome.to_json(),

@@ -13,16 +13,29 @@ use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
 use gdroid::sumstore::SumStore;
 use gdroid::vetting::{
-    compute_vetting_slice, execute_vetting_full, execute_vetting_on_device,
-    execute_vetting_targeted, execute_vetting_targeted_on_device,
-    execute_vetting_targeted_on_device_with_store, execute_vetting_targeted_traced,
-    prepare_vetting, Engine, PreparedApp,
+    compute_vetting_slice, execute_vetting_full, prepare_vetting, run, Engine, Plan, PreparedApp,
+    VettingRun,
 };
 
 const CORPUS: usize = 20;
 
 fn corpus_app(index: usize) -> PreparedApp {
     prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &GenConfig::tiny()))
+}
+
+/// The default plan, sliced.
+fn targeted() -> Plan {
+    Plan { targeted: true, ..Plan::default() }
+}
+
+/// Vets `prep` under `plan` on `device`, optionally backed by `store`.
+fn vet_on(
+    prep: &PreparedApp,
+    plan: Plan,
+    device: &mut Device,
+    store: Option<&SumStore>,
+) -> VettingRun {
+    run(prep, &plan, device, store).expect("no fault plan installed").0
 }
 
 /// For all 20 corpus apps: the targeted report (verdict plus every
@@ -36,10 +49,8 @@ fn targeted_verdicts_agree_with_full_across_the_corpus() {
     let mut fractions = Vec::with_capacity(CORPUS);
     for i in 0..CORPUS {
         let prep = corpus_app(i);
-        let full = execute_vetting_on_device(&prep, &mut device, OptConfig::gdroid())
-            .expect("no fault plan installed");
-        let targeted = execute_vetting_targeted_on_device(&prep, &mut device, OptConfig::gdroid())
-            .expect("no fault plan installed");
+        let full = vet_on(&prep, Plan::default(), &mut device, None);
+        let targeted = vet_on(&prep, targeted(), &mut device, None);
         assert_eq!(
             targeted.outcome.report.to_json(),
             full.outcome.report.to_json(),
@@ -78,9 +89,11 @@ fn targeted_verdicts_agree_with_full_across_the_corpus() {
 fn tracing_does_not_perturb_targeted_results() {
     for i in 0..4 {
         let prep = corpus_app(i);
-        let plain = execute_vetting_targeted(&prep, OptConfig::gdroid());
+        let plain = vet_on(&prep, targeted(), &mut Device::new(DeviceConfig::tesla_p40()), None);
         let tracer = gdroid::trace::Tracer::enabled_new();
-        let traced = execute_vetting_targeted_traced(&prep, OptConfig::gdroid(), &tracer);
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        device.set_tracer(tracer.clone());
+        let traced = vet_on(&prep, targeted(), &mut device, None);
         assert_eq!(
             plain.outcome.to_json(),
             traced.outcome.to_json(),
@@ -105,13 +118,7 @@ fn sumstore_targeted_runs_agree_with_full() {
     let prep_b = prepare_vetting(generate_app(1, PAPER_MASTER_SEED ^ 0x7a12, &cfg));
 
     let full_a = execute_vetting_full(&prep_a, Engine::Gpu(OptConfig::gdroid()));
-    let (cold_a, _) = execute_vetting_targeted_on_device_with_store(
-        &prep_a,
-        &mut device,
-        OptConfig::gdroid(),
-        &store,
-    )
-    .expect("no fault plan installed");
+    let cold_a = vet_on(&prep_a, targeted(), &mut device, Some(&store));
     assert_eq!(
         cold_a.outcome.report.to_json(),
         full_a.outcome.report.to_json(),
@@ -121,13 +128,7 @@ fn sumstore_targeted_runs_agree_with_full() {
     // App B bundles the same library packages: the warm run may reuse
     // summaries but must still agree with a store-free full run.
     let full_b = execute_vetting_full(&prep_b, Engine::Gpu(OptConfig::gdroid()));
-    let (warm_b, _) = execute_vetting_targeted_on_device_with_store(
-        &prep_b,
-        &mut device,
-        OptConfig::gdroid(),
-        &store,
-    )
-    .expect("no fault plan installed");
+    let warm_b = vet_on(&prep_b, targeted(), &mut device, Some(&store));
     assert_eq!(
         warm_b.outcome.report.to_json(),
         full_b.outcome.report.to_json(),
