@@ -3,15 +3,13 @@
 //!
 //! Counters and histograms are lock-free (`AtomicU64` with relaxed
 //! ordering — these are statistics, not synchronization), so the hot
-//! paths never serialize on a metrics mutex. The one exception is the
-//! per-plan job map, locked once per finished job.
+//! paths never serialize on a metrics mutex.
 
 use crate::cache::CacheStats;
+use gdroid_core::{EngineKind, ExecMode};
 use gdroid_sumstore::SumStoreStats;
 use gdroid_vetting::Plan;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Histogram bucket upper bounds in nanoseconds: geometric ×4 from 1 µs,
@@ -189,6 +187,26 @@ impl HistogramSnapshot {
     }
 }
 
+/// Plan shapes the per-plan job counters tell apart: engine × exec ×
+/// targeted. The rung is left out: a service runs every job at one.
+const PLAN_SLOTS: usize = EngineKind::ALL.len() * ExecMode::ALL.len() * 2;
+
+/// Counter slot of `plan`'s shape.
+fn plan_slot(plan: &Plan) -> usize {
+    let engine = EngineKind::ALL.iter().position(|&e| e == plan.engine).expect("listed engine");
+    let exec = ExecMode::ALL.iter().position(|&x| x == plan.exec).expect("listed exec mode");
+    (engine * ExecMode::ALL.len() + exec) * 2 + usize::from(plan.targeted)
+}
+
+/// The plan shape of every counter slot, in slot order.
+fn slot_plans() -> impl Iterator<Item = Plan> {
+    EngineKind::ALL.into_iter().flat_map(|engine| {
+        ExecMode::ALL.into_iter().flat_map(move |exec| {
+            [false, true].map(move |targeted| Plan { engine, exec, targeted, ..Plan::default() })
+        })
+    })
+}
+
 /// Lifetime event counters of the service.
 #[derive(Default)]
 pub struct Counters {
@@ -219,8 +237,8 @@ pub struct Counters {
     /// Jobs executed inside a co-resident batch.
     pub batched_jobs: AtomicU64,
     /// Jobs that ran to an outcome (executed, batched, or warm-started),
-    /// by [`Plan::label`].
-    pub plan_jobs: Mutex<BTreeMap<String, u64>>,
+    /// one slot per plan shape; bumped by [`Counters::bump_plan`].
+    plan_jobs: [AtomicU64; PLAN_SLOTS],
     /// Sum of targeted sliced fractions in micro-units (×1e6); divided by
     /// the targeted plans' job count for the report's
     /// `mean_sliced_fraction`.
@@ -242,12 +260,7 @@ impl Counters {
 
     /// Counts one job that ran to an outcome under `plan`.
     pub fn bump_plan(&self, plan: &Plan) {
-        *self
-            .plan_jobs
-            .lock()
-            .expect("plan_jobs mutex poisoned: a service thread panicked")
-            .entry(plan.label())
-            .or_default() += 1;
+        Counters::bump(&self.plan_jobs[plan_slot(plan)]);
     }
 
     /// Point-in-time copy.
@@ -267,11 +280,7 @@ impl Counters {
             completed: load(&self.completed),
             batches: load(&self.batches),
             batched_jobs: load(&self.batched_jobs),
-            plan_jobs: self
-                .plan_jobs
-                .lock()
-                .expect("plan_jobs mutex poisoned: a service thread panicked")
-                .clone(),
+            plan_jobs: self.plan_jobs.each_ref().map(load),
             sliced_fraction_micros: load(&self.sliced_fraction_micros),
             store_hits: load(&self.store_hits),
             store_misses: load(&self.store_misses),
@@ -308,8 +317,9 @@ pub struct CountersSnapshot {
     pub batches: u64,
     /// Jobs executed inside a co-resident batch.
     pub batched_jobs: u64,
-    /// Jobs that ran to an outcome, by [`Plan::label`].
-    pub plan_jobs: BTreeMap<String, u64>,
+    /// Jobs that ran to an outcome, one slot per plan shape; read with
+    /// [`CountersSnapshot::jobs_under`].
+    plan_jobs: [u64; PLAN_SLOTS],
     /// Summed targeted sliced fractions in micro-units (×1e6). Kept raw
     /// (not pre-divided) so shard merges reproduce the exact fleet-wide
     /// mean instead of averaging per-shard means.
@@ -321,22 +331,21 @@ pub struct CountersSnapshot {
 }
 
 impl CountersSnapshot {
-    /// Jobs that ran to an outcome under a targeted (sliced) plan.
+    /// Jobs that ran to an outcome under `plan`'s shape (its engine,
+    /// exec mode and slicing; the rung is ignored).
+    pub fn jobs_under(&self, plan: &Plan) -> u64 {
+        self.plan_jobs[plan_slot(plan)]
+    }
+
+    /// Jobs that ran to an outcome under a targeted (sliced) plan: the
+    /// odd slots.
     pub fn targeted_jobs(&self) -> u64 {
-        self.plan_jobs
-            .iter()
-            .filter(|(label, _)| Plan::is_targeted_label(label))
-            .map(|(_, n)| n)
-            .sum()
+        self.plan_jobs.iter().skip(1).step_by(2).sum()
     }
 
     /// Exact merge: every counter is a sum over disjoint event sets, so
-    /// field-wise (and label-wise) addition is the true union.
+    /// field-wise (and slot-wise) addition is the true union.
     pub fn merge(&self, other: &CountersSnapshot) -> CountersSnapshot {
-        let mut plan_jobs = self.plan_jobs.clone();
-        for (label, n) in &other.plan_jobs {
-            *plan_jobs.entry(label.clone()).or_default() += n;
-        }
         CountersSnapshot {
             submitted: self.submitted + other.submitted,
             rejected: self.rejected + other.rejected,
@@ -351,19 +360,20 @@ impl CountersSnapshot {
             completed: self.completed + other.completed,
             batches: self.batches + other.batches,
             batched_jobs: self.batched_jobs + other.batched_jobs,
-            plan_jobs,
+            plan_jobs: std::array::from_fn(|i| self.plan_jobs[i] + other.plan_jobs[i]),
             sliced_fraction_micros: self.sliced_fraction_micros + other.sliced_fraction_micros,
             store_hits: self.store_hits + other.store_hits,
             store_misses: self.store_misses + other.store_misses,
         }
     }
 
-    /// JSON rendering.
+    /// JSON rendering; `plan_jobs` maps each [`Plan::label`] with jobs to
+    /// its count.
     pub fn to_json(&self) -> String {
-        let plan_jobs = self
-            .plan_jobs
-            .iter()
-            .map(|(label, n)| format!("{}:{n}", gdroid_vetting::json::string(label)))
+        let plan_jobs = slot_plans()
+            .zip(self.plan_jobs)
+            .filter(|&(_, n)| n > 0)
+            .map(|(plan, n)| format!("\"{}\":{n}", plan.label()))
             .collect::<Vec<_>>()
             .join(",");
         format!(
@@ -754,6 +764,26 @@ mod tests {
         }
         assert_eq!(merged.to_json(), expect.to_json());
         assert!(merged.mean_sliced_fraction > 0.0 && merged.mean_sliced_fraction < 1.0);
+    }
+
+    #[test]
+    fn plan_slots_cover_every_shape_once() {
+        let plans: Vec<Plan> = slot_plans().collect();
+        assert_eq!(plans.len(), PLAN_SLOTS);
+        for (i, plan) in plans.iter().enumerate() {
+            assert_eq!(plan_slot(plan), i, "{}", plan.label());
+        }
+        let c = Counters::default();
+        c.bump_plan(&Plan { targeted: true, ..Plan::default() });
+        c.bump_plan(&Plan { engine: EngineKind::Rel, ..Plan::default() });
+        let s = c.snapshot();
+        assert_eq!(s.targeted_jobs(), 1);
+        assert_eq!(s.jobs_under(&Plan { engine: EngineKind::Rel, ..Plan::default() }), 1);
+        assert!(
+            s.to_json().contains("\"plan_jobs\":{\"worklist/multi/targeted\":1,\"rel/multi\":1}"),
+            "{}",
+            s.to_json()
+        );
     }
 
     #[test]

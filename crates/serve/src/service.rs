@@ -65,8 +65,9 @@ pub struct ServiceConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Simulated device model.
     pub device_config: DeviceConfig,
-    /// Plan [`VettingService::submit`] jobs run under;
-    /// [`VettingService::submit_targeted`] runs it targeted. A job falls
+    /// Plan every job runs under. Its `targeted` bit is set per job:
+    /// [`VettingService::submit_targeted`] slices, every other submission
+    /// runs the whole app. A job falls
     /// back where its engine lacks a capability (see
     /// [`EngineKind::caps`]): targeted jobs to the worklist engine (only
     /// the CPU reference cannot slice), persistent execution to
@@ -192,7 +193,7 @@ impl VettingService {
 
     fn spec(&self, priority: Priority, source: JobSource, targeted: bool) -> JobSpec {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut plan = Plan { targeted: targeted || self.state.plan.targeted, ..self.state.plan };
+        let mut plan = Plan { targeted, ..self.state.plan };
         // Targeted jobs need a slicing-capable engine; the worklist engine
         // is the documented fallback for the one kind (cpu) that lacks it.
         if plan.targeted && !plan.engine.caps().targeted {
@@ -810,10 +811,11 @@ mod tests {
 
     #[test]
     fn rel_engine_jobs_bypass_the_cache_and_match_worklist_reports() {
+        let rel = Plan { engine: EngineKind::Rel, ..Plan::default() };
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
-            plan: Plan { engine: EngineKind::Rel, ..Plan::default() },
+            plan: rel,
             coresident: 4,
             ..ServiceConfig::default()
         });
@@ -830,7 +832,7 @@ mod tests {
         assert_eq!(results.len(), 6);
         assert!(results.iter().all(|r| r.status == JobStatus::Completed));
         assert_eq!(report.cache.hits, 0, "rel jobs must never be served from the cache");
-        assert_eq!(report.counters.plan_jobs["rel/multi"], 6);
+        assert_eq!(report.counters.jobs_under(&rel), 6);
         assert_eq!(report.counters.batched_jobs, 0, "rel jobs never join a batch");
         // The vetting report itself is engine-invariant byte for byte.
         for r in &results {
@@ -851,10 +853,11 @@ mod tests {
 
     #[test]
     fn persistent_jobs_bypass_the_cache_and_match_multi_launch_reports() {
+        let persistent = Plan { exec: ExecMode::Persistent, ..Plan::default() };
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
-            plan: Plan { exec: ExecMode::Persistent, ..Plan::default() },
+            plan: persistent,
             coresident: 4,
             ..ServiceConfig::default()
         });
@@ -872,7 +875,7 @@ mod tests {
         assert_eq!(results.len(), 6);
         assert!(results.iter().all(|r| r.status == JobStatus::Completed));
         assert_eq!(report.cache.hits, 0, "persistent jobs must never be served from the cache");
-        assert_eq!(report.counters.plan_jobs["worklist/persistent"], 6);
+        assert_eq!(report.counters.jobs_under(&persistent), 6);
         assert_eq!(report.counters.batched_jobs, 0, "persistent jobs never join a batch");
         // The vetting report itself is exec-mode-invariant byte for byte.
         for r in &results {
@@ -991,24 +994,6 @@ mod tests {
         }
         let j = batch_report.to_json();
         assert!(j.contains("\"batched_jobs\":") && j.contains("\"coresidency\":"), "{j}");
-    }
-
-    #[test]
-    fn a_targeted_service_plan_slices_plain_submissions() {
-        // The CPU reference cannot slice, so the jobs fall back to the
-        // worklist engine, and they keep the priority they were given.
-        let svc = VettingService::start(ServiceConfig {
-            prep_workers: 1,
-            devices: 1,
-            plan: Plan { engine: EngineKind::Cpu, targeted: true, ..Plan::default() },
-            ..ServiceConfig::default()
-        });
-        svc.submit(Priority::Background, seed_source(0, 5600)).unwrap();
-        let (report, results) = svc.drain();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].priority, Priority::Background);
-        assert!(results[0].outcome.as_ref().expect("completed").targeted.is_some());
-        assert_eq!(report.counters.plan_jobs["worklist/multi/targeted"], 1);
     }
 
     #[test]

@@ -76,9 +76,6 @@ impl std::fmt::Display for PlanError {
     }
 }
 
-/// Suffix [`Plan::label`] gives targeted plans.
-const TARGETED_LABEL: &str = "/targeted";
-
 impl Plan {
     /// Checks the plan against [`EngineKind::caps`]; `store` says whether
     /// a summary store will be attached.
@@ -107,13 +104,8 @@ impl Plan {
     /// (e.g. `worklist/multi`, `rel/multi/targeted`). The rung is left
     /// out: a service runs every job at one rung.
     pub fn label(&self) -> String {
-        let targeted = if self.targeted { TARGETED_LABEL } else { "" };
+        let targeted = if self.targeted { "/targeted" } else { "" };
         format!("{}/{}{targeted}", self.engine, self.exec)
-    }
-
-    /// Whether `label` is the [`Plan::label`] of a targeted plan.
-    pub fn is_targeted_label(label: &str) -> bool {
-        label.ends_with(TARGETED_LABEL)
     }
 }
 
@@ -371,8 +363,6 @@ mod tests {
         assert_eq!(Plan::default().label(), "worklist/multi");
         let sliced = Plan { targeted: true, exec: ExecMode::Persistent, ..Plan::default() };
         assert_eq!(sliced.label(), "worklist/persistent/targeted");
-        assert!(Plan::is_targeted_label(&sliced.label()));
-        assert!(!Plan::is_targeted_label(&Plan::default().label()));
     }
 
     #[test]

@@ -44,7 +44,8 @@
 //! methods skipped, sliced fraction). `serve --targeted-lane` submits
 //! every other corpus job through the fast lane: targeted jobs run at
 //! `expedited` priority, bypass the result cache, and never join a
-//! co-resident batch; the drained report shows `targeted_jobs` and
+//! co-resident batch; the drained report counts them in the
+//! `worklist/multi/targeted` entry of `plan_jobs` and shows their
 //! `mean_sliced_fraction`. `lint` includes the `sink-reachability` pass:
 //! sink call sites whose backward slice holds no source call site are
 //! flagged as dead sinks.
@@ -73,16 +74,16 @@
 //! the `small` profile, 0.25).
 //!
 //! `vet`, `serve`, `batch`, and `campaign` parse one execution plan from
-//! the same flags: `--engine`, `--exec`, and `--targeted`. `--engine`
-//! selects how the IDFG fixpoint is computed: a worklist ladder rung
-//! (`plain|mat|matgrp|gdroid`) or an `AnalysisEngine` kind behind the
-//! engine trait — `worklist` (the full-GDroid rung), `rel` (the
+//! the same flags, `--engine` and `--exec`; `vet` and `campaign` also
+//! take `--targeted`. `--engine` selects how the IDFG fixpoint is
+//! computed: an `AnalysisEngine` kind behind the engine trait —
+//! `worklist` (the full-GDroid rung, also spelled `gdroid`), `rel` (the
 //! relational semi-naive GPU backend), or `cpu` (the sequential
-//! reference solver). `campaign` runs the `gdroid` rung only. `vet`
-//! also takes the CPU baselines of Figs. 1 and 4 (`mtcpu|amandroid`),
-//! which run outside the plan and take neither `--targeted` nor
-//! `--exec persistent`. A plan the engine cannot run (see
-//! `gdroid engines`) exits 2. Only the full multi-launch worklist plan
+//! reference solver). `vet` also takes the lower worklist ladder rungs
+//! (`plain|mat|matgrp`) and the CPU baselines of Figs. 1 and 4
+//! (`mtcpu|amandroid`), which run outside the plan and take neither
+//! `--targeted` nor `--exec persistent`. A flag the verb does not take,
+//! or a plan the engine cannot run (see `gdroid engines`), exits 2. Only the full multi-launch worklist plan
 //! uses the service's result cache and co-resident batching. Facts and
 //! verdicts are byte-identical across plans — only modeled timing
 //! differs.
@@ -126,7 +127,8 @@ use std::sync::Arc;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  gdroid gen <seed> [out.jil]\n  gdroid vet <app.jil|seed> \
-         [PLAN | --engine mtcpu|amandroid] [--sumstore <dir>] [--trace <out.json>] [--json]\n  \
+         [PLAN] [--engine plain|mat|matgrp|mtcpu|amandroid] [--targeted] [--sumstore <dir>] \
+         [--trace <out.json>] [--json]\n  \
          gdroid engines\n  \
          gdroid lint <app.jil|seed>\n  \
          gdroid stats <app.jil|seed>\n  \
@@ -138,11 +140,10 @@ fn usage() -> ! {
          [--sumstore <dir>] [--trace-dir <dir>] [--digest] [--json]\n  \
          gdroid sumstore stats|clear <dir>\n  \
          gdroid campaign --apps N [--shards S] [--seed X] [--workers K] [--devices D] \
-         [--coresident C] [PLAN] [--sumstore] [--scale F] \
+         [--coresident C] [PLAN] [--targeted] [--sumstore] [--scale F] \
          [--snapshot] [--rotate N] [--shared-store] [--delta DIR] [--updates PPM[:SALT]] \
          [--journal-dir DIR] [--out FILE] [--verdicts FILE] [--trace-dir DIR] [--fresh] [--json]\n\
-         PLAN: [--engine plain|mat|matgrp|gdroid|worklist|rel|cpu] [--exec multi|persistent] \
-         [--targeted]"
+         PLAN: [--engine gdroid|worklist|rel|cpu] [--exec multi|persistent]"
     );
     exit(2)
 }
@@ -157,12 +158,12 @@ fn flag_str<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
-/// Parses the plan flags every vetting verb shares — `--engine` (a
-/// ladder rung or an engine kind), `--exec`, and `--targeted` — and
-/// checks the plan against the engine's caps, with `store` saying
-/// whether a summary store is attached. Exits 2 on a plan the engine
-/// cannot run.
-fn parse_plan(args: &[String], store: bool) -> Plan {
+/// Parses the plan flags of a vetting verb: `--engine` and `--exec`,
+/// plus `--targeted` for `vet` and `campaign`; only `vet` takes the
+/// ladder rungs below `gdroid`. Checks the plan against the engine's
+/// caps, with `store` saying whether a summary store is attached. Exits
+/// 2 on a flag the verb does not take or a plan the engine cannot run.
+fn parse_plan(args: &[String], verb: &str, store: bool) -> Plan {
     let mut plan = Plan { targeted: args.iter().any(|a| a == "--targeted"), ..Plan::default() };
     match flag_str(args, "--engine") {
         None | Some("gdroid") => {}
@@ -173,6 +174,14 @@ fn parse_plan(args: &[String], store: bool) -> Plan {
     }
     if let Some(s) = flag_str(args, "--exec") {
         plan.exec = ExecMode::parse(s).unwrap_or_else(|| usage());
+    }
+    if verb != "vet" && plan.opts != OptConfig::gdroid() {
+        eprintln!("{verb} runs the gdroid rung: --engine takes gdroid|worklist|rel|cpu");
+        exit(2);
+    }
+    if plan.targeted && !matches!(verb, "vet" | "campaign") {
+        eprintln!("{verb} takes no --targeted (serve slices through --targeted-lane)");
+        exit(2);
     }
     if let Err(e) = plan.validate(store) {
         eprintln!("{e} (see `gdroid engines`)");
@@ -378,16 +387,16 @@ fn main() {
         }
         "vet" => {
             let Some(target) = args.get(1) else { usage() };
-            let prep = prepare_vetting(load_app(target));
-            let trace_path = flag_str(&args, "--trace");
-            let tracer =
-                if trace_path.is_some() { Tracer::enabled_new() } else { Tracer::disabled() };
+            // The CPU baselines of Figs. 1 and 4 run outside the engine
+            // trait, so they have no plan and trace only the stage spans.
+            enum How {
+                Baseline(Engine),
+                Plan(Plan),
+            }
             let store_dir = flag_str(&args, "--sumstore");
-            let store = store_dir.map(open_sumstore);
-            let (outcome, used) = match flag_str(&args, "--engine") {
-                // The CPU baselines of Figs. 1 and 4 run outside the
-                // engine trait, so they have no plan and trace only the
-                // stage spans.
+            // Checked before the app is loaded, so a plan the engine
+            // cannot run exits 2 at once.
+            let how = match flag_str(&args, "--engine") {
                 Some(name @ ("amandroid" | "mtcpu")) => {
                     let exec = flag_str(&args, "--exec").unwrap_or("multi");
                     if args.iter().any(|a| a == "--targeted") || exec != "multi" {
@@ -397,11 +406,21 @@ fn main() {
                         );
                         exit(2);
                     }
-                    let engine = if name == "amandroid" {
+                    How::Baseline(if name == "amandroid" {
                         Engine::AmandroidCpu
                     } else {
                         Engine::MultithreadedCpu
-                    };
+                    })
+                }
+                _ => How::Plan(parse_plan(&args, "vet", store_dir.is_some())),
+            };
+            let prep = prepare_vetting(load_app(target));
+            let trace_path = flag_str(&args, "--trace");
+            let tracer =
+                if trace_path.is_some() { Tracer::enabled_new() } else { Tracer::disabled() };
+            let store = store_dir.map(open_sumstore);
+            let (outcome, used) = match how {
+                How::Baseline(engine) => {
                     let (run, used) = match &store {
                         Some(store) => {
                             let (run, used) = execute_vetting_full_with_store(&prep, engine, store);
@@ -414,8 +433,7 @@ fn main() {
                     }
                     (run.outcome, used)
                 }
-                _ => {
-                    let plan = parse_plan(&args, store.is_some());
+                How::Plan(plan) => {
                     let mut device =
                         gdroid::gpusim::Device::new(gdroid::gpusim::DeviceConfig::tesla_p40());
                     device.set_tracer(tracer.clone());
@@ -563,7 +581,7 @@ fn main() {
                 }
             });
             let store_dir = flag_str(&args, "--sumstore");
-            let plan = parse_plan(&args, store_dir.is_some());
+            let plan = parse_plan(&args, "serve", store_dir.is_some());
             let sumstore = store_dir.map(|dir| Arc::new(open_sumstore(dir)));
             let svc = VettingService::start(ServiceConfig {
                 prep_workers: workers,
@@ -621,7 +639,7 @@ fn main() {
             }
             let n = bundles.len();
             let store_dir = flag_str(&args, "--sumstore");
-            let plan = parse_plan(&args, store_dir.is_some());
+            let plan = parse_plan(&args, "batch", store_dir.is_some());
             let sumstore = store_dir.map(|dir| Arc::new(open_sumstore(dir)));
             let svc = VettingService::start(ServiceConfig {
                 prep_workers: workers,
@@ -716,11 +734,7 @@ fn main() {
                 }
             };
             let sumstore = args.iter().any(|a| a == "--sumstore");
-            let plan = parse_plan(&args, sumstore);
-            if plan.opts != OptConfig::gdroid() {
-                eprintln!("campaign runs the gdroid rung: --engine takes worklist|rel|cpu");
-                exit(2);
-            }
+            let plan = parse_plan(&args, "campaign", sumstore);
             let config = gdroid::campaign::CampaignConfig {
                 apps,
                 shards,
