@@ -3,11 +3,13 @@
 //! Every per-app experiment walks the same deterministic corpus: app
 //! `i` is generated from `PAPER_MASTER_SEED ^ i` and run through the
 //! host-side prep stage. This module is the single place that spelling
-//! lives — the batch, trace, targeted, sumstore, and rel sweeps all
+//! lives — the batch, trace, targeted, sumstore, and persist sweeps all
 //! build their windows through it.
 
 use gdroid_apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
-use gdroid_vetting::{prepare_vetting, PreparedApp};
+use gdroid_ir::MethodId;
+use gdroid_serve::fnv1a;
+use gdroid_vetting::{prepare_vetting, PreparedApp, VettingRun};
 
 /// Generates and preps corpus app `index` under the paper master seed.
 pub fn corpus_prep(index: usize, config: &GenConfig) -> PreparedApp {
@@ -18,6 +20,23 @@ pub fn corpus_prep(index: usize, config: &GenConfig) -> PreparedApp {
 /// streamed experiments use [`corpus_prep`] window by window instead).
 pub fn corpus_preps(apps: usize, config: &GenConfig) -> Vec<PreparedApp> {
     (0..apps).map(|i| corpus_prep(i, config)).collect()
+}
+
+/// FNV-1a digest over the per-method fixpoint bitmaps, sorted by method
+/// id — the engine-invariant facts, as one comparable number.
+pub fn fact_digest(run: &VettingRun) -> u64 {
+    let mut mids: Vec<MethodId> = run.analysis.facts.keys().copied().collect();
+    mids.sort_unstable();
+    let mut line = String::new();
+    for mid in mids {
+        use std::fmt::Write;
+        write!(line, "{mid:?}:").expect("writing to String cannot fail");
+        for w in run.analysis.facts[&mid].flat_words() {
+            write!(line, "{w:x},").expect("writing to String cannot fail");
+        }
+        line.push(';');
+    }
+    fnv1a(line.as_bytes())
 }
 
 #[cfg(test)]

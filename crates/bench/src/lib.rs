@@ -19,7 +19,6 @@ pub mod corpus1000;
 pub mod experiments;
 pub mod persist;
 pub mod record;
-pub mod rel;
 pub mod sancheck;
 pub mod serve;
 pub mod snapshot;
@@ -29,13 +28,12 @@ pub mod targeted;
 pub mod trace;
 
 pub use batch::{batch_benchmark, run_batch_point, BatchPoint};
-pub use corpus::{corpus_prep, corpus_preps};
+pub use corpus::{corpus_prep, corpus_preps, fact_digest};
 pub use corpus1000::{corpus1000_benchmark, Corpus1000, LadderRung};
 pub use persist::{
     persist_benchmark, run_persist_point, PersistPoint, PERSIST_DETAIL_APPS, PERSIST_WINDOW,
 };
 pub use record::{run_app, run_corpus, AppRecord, GpuSummary};
-pub use rel::{fact_digest, rel_benchmark, run_rel_point, RelPoint, REL_DETAIL_APPS, REL_WINDOW};
 pub use sancheck::{sancheck_corpus, SancheckOutcome};
 pub use serve::{run_service, serve_benchmark, ServePoint};
 pub use snapshot::{

@@ -19,8 +19,7 @@
 //! launch (`grid_sync_cycles`) and the device-side worklist queue cost
 //! (`queue_op_cycles`, contention-scaled).
 
-use crate::corpus::corpus_prep;
-use crate::rel::fact_digest;
+use crate::corpus::{corpus_prep, fact_digest};
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
 use gdroid_core::ExecMode;
 use gdroid_gpusim::{Device, DeviceConfig};

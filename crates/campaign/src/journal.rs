@@ -11,17 +11,35 @@
 //! ```
 //!
 //! Every line carries a trailing FNV-1a checksum over the bytes before
-//! ` crc=`. Appends are flushed per record, so after a crash the journal
-//! is a valid prefix plus at most one torn line; [`read_journal`]
-//! tolerates exactly that (the torn tail is dropped and reported), while
-//! corruption *before* the tail is a hard error — a half-overwritten
-//! journal must not silently masquerade as a checkpoint. A file torn
-//! *inside its header line* (no complete line at all) is reported as
-//! [`JournalError::TornHeader`] and recreated on open: nothing was ever
-//! durably journaled, so there is nothing to lose. Resume truncates the
-//! torn tail and re-runs every app without a non-failed record, so a
-//! killed campaign converges to the same journal contents — and therefore
-//! the byte-identical fleet report — an uninterrupted run produces.
+//! ` crc=`. Appends are flushed to the OS per record, so after a process
+//! crash the journal is a valid prefix plus at most one torn line;
+//! [`read_journal`] tolerates exactly that (the torn tail is dropped and
+//! reported), while corruption *before* the tail is a hard error — a
+//! half-overwritten journal must not silently masquerade as a checkpoint.
+//! A file torn *inside its header line* (no complete line at all) is
+//! reported as [`JournalError::TornHeader`] and recreated on open:
+//! nothing was ever durably journaled, so there is nothing to lose.
+//! Resume truncates the torn tail and re-runs every app without a
+//! non-failed record, so a killed campaign converges to the same journal
+//! contents — and therefore the byte-identical fleet report — an
+//! uninterrupted run produces.
+//!
+//! ## Durability
+//!
+//! Each step syncs what the next one relies on, and no more:
+//!
+//! * **Append** — flushed, not synced. Survives a process crash; a power
+//!   loss or OS crash may lose or tear the records appended since the
+//!   last sync, and resume re-runs those apps.
+//! * **Create** — a new journal or segment file is written with its
+//!   header (and carried rollup), `sync_all`ed, and then its directory is
+//!   synced, the way `SumStore::save` does it. Survives a power loss: the
+//!   file's name and first lines are on disk before any record follows.
+//! * **Seal** — the sealed segment's footer and records are
+//!   `sync_data`ed before its successor is created. Survives a power
+//!   loss at any point of the rotation: a successor never exists on disk
+//!   without the sealed footer that recreating it would need, and sealed
+//!   history is never lost.
 //!
 //! ## Rotation (snapshot mode)
 //!
@@ -447,9 +465,7 @@ impl Journal {
     /// Creates a fresh journal with `header` (truncating any existing
     /// file).
     pub fn create(path: &Path, header: &JournalHeader) -> Result<Journal, JournalError> {
-        let mut file = File::create(path)?;
-        file.write_all(header_line(header, None).as_bytes())?;
-        file.flush()?;
+        let file = create_synced(path, &header_line(header, None))?;
         Ok(Journal { writer: BufWriter::new(file), path: path.to_owned() })
     }
 
@@ -498,6 +514,17 @@ impl Journal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// Creates (truncating) `path` holding `prefix`, then syncs the file and
+/// its directory, so both the name and the prefix survive a power loss.
+fn create_synced(path: &Path, prefix: &str) -> std::io::Result<File> {
+    let mut file = File::create(path)?;
+    file.write_all(prefix.as_bytes())?;
+    file.sync_all()?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()?;
+    Ok(file)
 }
 
 /// The path of rotated segment `segment` of shard `shard`.
@@ -559,7 +586,7 @@ impl SegmentedJournal {
         };
         // A newest segment with no usable prefix (torn header, or a later
         // segment whose carried rollup never hit disk) is recreated from
-        // its predecessor's sealed footer — which was flushed before this
+        // its predecessor's sealed footer — which was synced before this
         // segment was ever created.
         let recreate = match &contents {
             Err(()) => true,
@@ -639,12 +666,11 @@ impl SegmentedJournal {
         segment: usize,
         base: ShardFold,
     ) -> Result<SegmentedJournal, JournalError> {
-        let mut file = File::create(segment_path(dir, shard, segment))?;
-        file.write_all(header_line(header, Some(segment)).as_bytes())?;
+        let mut prefix = header_line(header, Some(segment));
         if segment > 0 {
-            file.write_all(seal(base.serialize_body()).as_bytes())?;
+            prefix.push_str(&seal(base.serialize_body()));
         }
-        file.flush()?;
+        let file = create_synced(&segment_path(dir, shard, segment), &prefix)?;
         Ok(SegmentedJournal {
             dir: dir.to_owned(),
             shard,
@@ -679,11 +705,12 @@ impl SegmentedJournal {
         Ok(())
     }
 
-    /// Seals the current segment (appends the cumulative rollup footer)
-    /// and opens the next one carrying that rollup.
+    /// Seals the current segment (appends the cumulative rollup footer
+    /// and syncs the segment) and opens the next one carrying that rollup.
     fn seal(&mut self) -> Result<(), JournalError> {
         self.writer.write_all(seal(self.fold.serialize_body()).as_bytes())?;
         self.writer.flush()?;
+        self.writer.get_ref().sync_data()?;
         let next = SegmentedJournal::create_segment(
             &self.dir,
             self.shard,

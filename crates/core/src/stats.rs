@@ -60,11 +60,6 @@ pub struct GpuRunStats {
     pub profile: WorklistProfile,
     /// Methods analyzed.
     pub methods: usize,
-    /// Hash-join probe reads across all launches (relational engine; 0
-    /// for worklist kernels).
-    pub join_probes: u64,
-    /// Relation tuples streamed across all launches (relational engine).
-    pub scan_rows: u64,
     // --- internal accumulators -----------------------------------------
     #[serde(skip)]
     warp_steps: u64,
@@ -98,8 +93,6 @@ impl GpuRunStats {
         self.ideal_transactions += k.ideal_transactions;
         self.utilization_sum += k.utilization;
         self.utilization_samples += 1;
-        self.join_probes += k.join_probes;
-        self.scan_rows += k.scan_rows;
     }
 
     /// Records one method's telemetry.

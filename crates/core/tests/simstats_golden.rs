@@ -146,15 +146,15 @@ fn sanitizer_digest() -> u64 {
 
 #[test]
 fn ladder_exec_modes_and_schedules_match_golden() {
-    assert_eq!(ladder_digest(), 1877171627430663393);
+    assert_eq!(ladder_digest(), 165512323553573101);
 }
 
 #[test]
 fn coresident_batch_matches_golden() {
-    assert_eq!(batch_digest(), 13616421456699591975);
+    assert_eq!(batch_digest(), 2238932056149294576);
 }
 
 #[test]
 fn sanitizer_findings_match_golden() {
-    assert_eq!(sanitizer_digest(), 4442948319437812956);
+    assert_eq!(sanitizer_digest(), 1061680447664185396);
 }

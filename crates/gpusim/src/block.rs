@@ -88,11 +88,6 @@ pub struct BlockStats {
     pub malloc_cycles: u64,
     /// Cycles of dependent-load latency (hideable by co-resident blocks).
     pub latency_cycles: u64,
-    /// Hash-table probe reads issued by [`BlockCtx::hash_join`] (chain
-    /// steps, not keys: a 2-deep probe counts twice).
-    pub join_probes: u64,
-    /// Relation tuples streamed by [`BlockCtx::relation_scan`].
-    pub scan_rows: u64,
     /// Device-side worklist queue operations (persistent kernels).
     pub queue_ops: u64,
     /// Cycles spent in contended queue operations (persistent kernels).
@@ -345,102 +340,6 @@ impl<'a> BlockCtx<'a> {
         let per_step = n.div_ceil(self.config.warp_size as u64).max(1) * 26;
         self.stats.cycles += steps * per_step + 200;
     }
-
-    /// Streams a contiguous relation of `rows` fixed-width tuples from
-    /// global memory, charging `compute_per_row` ALU cycles per tuple.
-    ///
-    /// Relational kernels are branch-uniform — every lane runs the
-    /// identical scan/eval code over its tuple — so the scan executes
-    /// divergence-free, and the row-major layout coalesces maximally.
-    /// That is the structural advantage semi-naive evaluation buys over
-    /// the worklist kernels' 25-way statement dispatch; what it pays
-    /// instead is the join traffic of [`BlockCtx::hash_join`].
-    pub fn relation_scan(
-        &mut self,
-        base: DevAddr,
-        rows: u64,
-        row_bytes: u64,
-        compute_per_row: u64,
-    ) {
-        if rows == 0 {
-            return;
-        }
-        self.stats.scan_rows += rows;
-        let row_bytes = row_bytes.max(1);
-        let warp = self.config.warp_size as u64;
-        let mut row = 0u64;
-        while row < rows {
-            let lanes_n = warp.min(rows - row);
-            let lanes: Vec<LaneWork> = (0..lanes_n)
-                .map(|i| LaneWork {
-                    partition: 0,
-                    compute_cycles: compute_per_row,
-                    reads: vec![base + (row + i) * row_bytes],
-                    bytes_read: row_bytes,
-                    ..Default::default()
-                })
-                .collect();
-            self.warp_process(&lanes);
-            row += lanes_n;
-        }
-    }
-
-    /// Linear-probe chain depth of a table holding `occupancy` entries in
-    /// `cap` slots: 1 while the load factor stays under 0.5, 2 from there
-    /// (the rel layout sizes tables to keep load ≤ 0.5, so deeper chains
-    /// never model). Deterministic by design.
-    pub fn probe_chain(cap: u64, occupancy: u64) -> u64 {
-        1 + occupancy.saturating_mul(2) / cap.max(1)
-    }
-
-    /// Runs hash-join probes against a device-resident open-addressing
-    /// table of `cap` slots currently holding `occupancy` entries.
-    ///
-    /// Each `(key, insert)` pair hashes to a slot and walks a linear probe
-    /// chain of [`BlockCtx::probe_chain`] steps. Probe reads are hash-
-    /// scattered — they coalesce poorly, which is the honest cost of a
-    /// hash join — and every chain step is a dependent load, so deeper
-    /// chains charge pointer-chasing latency. Keys flagged `insert` also
-    /// CAS-write their landing slot (atomic, race-exempt like the
-    /// worklist kernels' fact updates).
-    pub fn hash_join(
-        &mut self,
-        table: DevAddr,
-        cap: u64,
-        occupancy: u64,
-        keys: &[(u64, bool)],
-        compute_per_probe: u64,
-    ) {
-        if keys.is_empty() {
-            return;
-        }
-        let cap = cap.max(1);
-        let chain = Self::probe_chain(cap, occupancy);
-        let warp = self.config.warp_size;
-        for chunk in keys.chunks(warp) {
-            let lanes: Vec<LaneWork> = chunk
-                .iter()
-                .map(|&(key, insert)| {
-                    let h = key.wrapping_mul(0x9E37_79B9) % cap;
-                    let reads: Vec<DevAddr> =
-                        (0..chain).map(|j| table + ((h + j) % cap) * 8).collect();
-                    let writes =
-                        if insert { vec![table + ((h + chain - 1) % cap) * 8] } else { Vec::new() };
-                    LaneWork {
-                        partition: 0,
-                        compute_cycles: compute_per_probe * chain,
-                        reads,
-                        writes,
-                        deref_layers: chain as u32,
-                        order: AccessOrder::Atomic,
-                        ..Default::default()
-                    }
-                })
-                .collect();
-            self.stats.join_probes += chain * chunk.len() as u64;
-            self.warp_process(&lanes);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -558,76 +457,6 @@ mod tests {
         let mut ctx3 = BlockCtx::new(&cfg, &mut heap, 1, None);
         ctx3.shared_sort(1);
         assert_eq!(ctx3.stats.cycles, 0);
-    }
-
-    #[test]
-    fn relation_scan_is_uniform_and_coalesced() {
-        let (cfg, mut heap) = setup();
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
-        // 64 contiguous 16-byte tuples: two full warps, zero divergence,
-        // and the streaming reads coalesce to the minimum line count.
-        ctx.relation_scan(0x1_0000, 64, 16, 4);
-        assert_eq!(ctx.stats.scan_rows, 64);
-        assert_eq!(ctx.stats.warp_steps, 2);
-        assert_eq!(ctx.stats.divergence_passes, 2, "scans never diverge");
-        // 64 × 16 B = 1024 B = 8 perfectly packed 128-byte lines.
-        assert_eq!(ctx.stats.transactions, 8);
-        assert_eq!(ctx.stats.ideal_transactions, 8);
-        // Empty scan is free.
-        let mut ctx2 = BlockCtx::new(&cfg, &mut heap, 1, None);
-        ctx2.relation_scan(0x1_0000, 0, 16, 4);
-        assert_eq!(ctx2.stats.cycles, 0);
-        assert_eq!(ctx2.stats.scan_rows, 0);
-    }
-
-    #[test]
-    fn probe_chain_tracks_load_factor() {
-        assert_eq!(BlockCtx::probe_chain(64, 0), 1);
-        assert_eq!(BlockCtx::probe_chain(64, 31), 1, "load < 0.5 probes once");
-        assert_eq!(BlockCtx::probe_chain(64, 32), 2, "load ≥ 0.5 probes twice");
-        assert_eq!(BlockCtx::probe_chain(0, 5), 11, "degenerate cap clamps to 1");
-    }
-
-    #[test]
-    fn hash_join_charges_chain_latency_and_counts_probes() {
-        let (cfg, mut heap) = setup();
-        let keys: Vec<(u64, bool)> = (0..16).map(|k| (k, false)).collect();
-        // Light table: one probe per key, one dependent-load layer.
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
-        ctx.hash_join(0x2_0000, 64, 0, &keys, 6);
-        let light = ctx.stats;
-        assert_eq!(light.join_probes, 16);
-        assert_eq!(light.latency_cycles, cfg.dependent_latency_cycles);
-        // Half-full table: chains double, so probes, latency and cycles
-        // all grow — occupancy is a real cost input, not decoration.
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
-        ctx.hash_join(0x2_0000, 64, 32, &keys, 6);
-        let heavy = ctx.stats;
-        assert_eq!(heavy.join_probes, 32);
-        assert_eq!(heavy.latency_cycles, 2 * cfg.dependent_latency_cycles);
-        assert!(heavy.cycles > light.cycles);
-        // Probes stay branch-uniform: one divergence pass per warp step.
-        assert_eq!(heavy.divergence_passes, heavy.warp_steps);
-        // Empty probe set is free.
-        let mut empty = BlockCtx::new(&cfg, &mut heap, 1, None);
-        empty.hash_join(0x2_0000, 64, 0, &[], 6);
-        assert_eq!(empty.stats.cycles, 0);
-    }
-
-    #[test]
-    fn hash_join_inserts_write_their_landing_slot() {
-        let (cfg, mut heap) = setup();
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
-        ctx.hash_join(0x3_0000, 64, 0, &[(7, true), (9, false)], 4);
-        let with_insert = ctx.stats;
-        // Exactly one write (the insert's CAS) reached global memory:
-        // with one read + one write transaction minimum, the write shows
-        // up as extra transactions relative to a probe-only round.
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
-        ctx.hash_join(0x3_0000, 64, 0, &[(7, false), (9, false)], 4);
-        let probe_only = ctx.stats;
-        assert!(with_insert.transactions > probe_only.transactions);
-        assert_eq!(with_insert.join_probes, probe_only.join_probes);
     }
 
     #[test]

@@ -114,10 +114,6 @@ pub struct KernelStats {
     pub mallocs: u64,
     /// Cycles spent in the allocator.
     pub malloc_cycles: u64,
-    /// Hash-join probe reads across all blocks (relational kernels).
-    pub join_probes: u64,
-    /// Relation tuples streamed across all blocks (relational kernels).
-    pub scan_rows: u64,
     /// Device-side worklist queue operations (persistent kernels).
     pub queue_ops: u64,
     /// Cycles spent in contended queue operations (persistent kernels).
@@ -474,8 +470,6 @@ impl Device {
             stats.ideal_transactions += b.ideal_transactions;
             stats.mallocs += b.mallocs;
             stats.malloc_cycles += b.malloc_cycles;
-            stats.join_probes += b.join_probes;
-            stats.scan_rows += b.scan_rows;
             stats.queue_ops += b.queue_ops;
             stats.queue_cycles += b.queue_cycles;
             // Greedy: next block goes to the earliest-finishing slot.
@@ -567,8 +561,6 @@ impl Device {
         c.ideal_transactions += stats.ideal_transactions;
         c.mallocs += stats.mallocs;
         c.malloc_cycles += stats.malloc_cycles;
-        c.join_probes += stats.join_probes;
-        c.scan_rows += stats.scan_rows;
         c.queue_ops += stats.queue_ops;
         c.queue_cycles += stats.queue_cycles;
         c.schedule.extend(stats.schedule.iter().map(|&(s, a, b)| (s, offset + a, offset + b)));

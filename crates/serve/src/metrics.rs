@@ -775,12 +775,12 @@ mod tests {
         }
         let c = Counters::default();
         c.bump_plan(&Plan { targeted: true, ..Plan::default() });
-        c.bump_plan(&Plan { engine: EngineKind::Rel, ..Plan::default() });
+        c.bump_plan(&Plan { engine: EngineKind::Cpu, ..Plan::default() });
         let s = c.snapshot();
         assert_eq!(s.targeted_jobs(), 1);
-        assert_eq!(s.jobs_under(&Plan { engine: EngineKind::Rel, ..Plan::default() }), 1);
+        assert_eq!(s.jobs_under(&Plan { engine: EngineKind::Cpu, ..Plan::default() }), 1);
         assert!(
-            s.to_json().contains("\"plan_jobs\":{\"worklist/multi/targeted\":1,\"rel/multi\":1}"),
+            s.to_json().contains("\"plan_jobs\":{\"worklist/multi/targeted\":1,\"cpu/multi\":1}"),
             "{}",
             s.to_json()
         );

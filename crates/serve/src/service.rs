@@ -199,7 +199,7 @@ impl VettingService {
         if plan.targeted && !plan.engine.caps().targeted {
             plan.engine = EngineKind::Worklist;
         }
-        // Engines without persistent caps (rel, cpu) run multi-launch; a
+        // Engines without persistent caps (cpu) run multi-launch; a
         // persistent service setting only applies where it is meaningful.
         if !plan.engine.caps().persistent {
             plan.exec = ExecMode::MultiLaunch;
@@ -349,7 +349,7 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
         let package = app.manifest.package.clone();
 
         // Only cacheable plans look up: the cache holds full multi-launch
-        // worklist outcomes, which a targeted, persistent, rel or cpu job
+        // worklist outcomes, which a targeted, persistent or cpu job
         // must not be served.
         if job.plan.cacheable() {
             if let Some(outcome) = state.cache.lookup(content_hash) {
@@ -810,12 +810,12 @@ mod tests {
     }
 
     #[test]
-    fn rel_engine_jobs_bypass_the_cache_and_match_worklist_reports() {
-        let rel = Plan { engine: EngineKind::Rel, ..Plan::default() };
+    fn cpu_engine_jobs_bypass_the_cache_and_match_worklist_reports() {
+        let cpu = Plan { engine: EngineKind::Cpu, ..Plan::default() };
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
-            plan: rel,
+            plan: cpu,
             coresident: 4,
             ..ServiceConfig::default()
         });
@@ -823,7 +823,7 @@ mod tests {
             svc.submit(Priority::Standard, seed_source(seed as usize, 5400 + seed)).unwrap();
         }
         // Resubmit the same apps: a worklist service would serve cache
-        // hits, a rel service must re-analyze every one.
+        // hits, a cpu service must re-analyze every one.
         svc.wait_for(3);
         for seed in 0..3u64 {
             svc.submit(Priority::Standard, seed_source(seed as usize, 5400 + seed)).unwrap();
@@ -831,9 +831,9 @@ mod tests {
         let (report, results) = svc.drain();
         assert_eq!(results.len(), 6);
         assert!(results.iter().all(|r| r.status == JobStatus::Completed));
-        assert_eq!(report.cache.hits, 0, "rel jobs must never be served from the cache");
-        assert_eq!(report.counters.jobs_under(&rel), 6);
-        assert_eq!(report.counters.batched_jobs, 0, "rel jobs never join a batch");
+        assert_eq!(report.cache.hits, 0, "cpu jobs must never be served from the cache");
+        assert_eq!(report.counters.jobs_under(&cpu), 6);
+        assert_eq!(report.counters.batched_jobs, 0, "cpu jobs never join a batch");
         // The vetting report itself is engine-invariant byte for byte.
         for r in &results {
             let reference = vet_app(
@@ -848,7 +848,7 @@ mod tests {
             );
         }
         let j = report.to_json();
-        assert!(j.contains("\"plan_jobs\":{\"rel/multi\":6}"), "{j}");
+        assert!(j.contains("\"plan_jobs\":{\"cpu/multi\":6}"), "{j}");
     }
 
     #[test]

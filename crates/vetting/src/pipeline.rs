@@ -182,7 +182,7 @@ pub(crate) fn finish_vetting(
 
 /// Assembles the outcome from a finished engine run. The facts and
 /// summaries are bit-identical across engines; only cost models differ.
-/// GPU engines report device memory (the historical `store_bytes: 0`
+/// The GPU engine reports device memory (the historical `store_bytes: 0`
 /// contract of `vet_app`), the CPU engine its host fact stores.
 pub(crate) fn finish_engine_run(
     prep: &PreparedApp,

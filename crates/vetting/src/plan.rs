@@ -18,7 +18,6 @@ use crate::store_exec::{absorb_into_store, collect_presolved, StoreUse};
 use crate::targeted::{compute_vetting_slice, TargetedProvenance};
 use gdroid_core::{AnalysisEngine, CpuEngine, EngineKind, ExecMode, OptConfig, WorklistEngine};
 use gdroid_gpusim::{Device, DeviceFault};
-use gdroid_rel::RelEngine;
 use gdroid_sumstore::SumStore;
 use std::collections::HashMap;
 
@@ -101,8 +100,8 @@ impl Plan {
     }
 
     /// Metric label: `engine/exec`, plus `/targeted` for sliced plans
-    /// (e.g. `worklist/multi`, `rel/multi/targeted`). The rung is left
-    /// out: a service runs every job at one rung.
+    /// (e.g. `worklist/multi`, `worklist/persistent/targeted`). The rung
+    /// is left out: a service runs every job at one rung.
     pub fn label(&self) -> String {
         let targeted = if self.targeted { "/targeted" } else { "" };
         format!("{}/{}{targeted}", self.engine, self.exec)
@@ -114,7 +113,6 @@ impl Plan {
 fn engine_for(plan: &Plan) -> Box<dyn AnalysisEngine> {
     match plan.engine {
         EngineKind::Worklist => Box::new(WorklistEngine { opts: plan.opts, exec: plan.exec }),
-        EngineKind::Rel => Box::new(RelEngine),
         EngineKind::Cpu => Box::new(CpuEngine),
     }
 }
@@ -263,51 +261,12 @@ mod tests {
     }
 
     #[test]
-    fn rel_targeted_matches_rel_full_report() {
-        for seed in [8703u64, 8704] {
-            let prep = prepare_vetting(generate_app(0, seed, &GenConfig::tiny()));
-            let full = run_on(&prep, engine(EngineKind::Rel), &mut fresh());
-            let plan = Plan { targeted: true, ..engine(EngineKind::Rel) };
-            let targeted = run_on(&prep, plan, &mut fresh());
-            assert_eq!(
-                targeted.outcome.report.to_json(),
-                full.outcome.report.to_json(),
-                "rel targeted diverged on seed {seed}"
-            );
-            assert!(targeted.outcome.targeted.is_some());
-        }
-    }
-
-    #[test]
-    fn rel_with_store_hits_and_agrees() {
-        let cfg = GenConfig::tiny().with_libraries(2, 2);
-        let store = SumStore::new();
-        let rel = engine(EngineKind::Rel);
-        let prep_a = prepare_vetting(generate_app(0, 8705, &cfg));
-        let prep_b = prepare_vetting(generate_app(1, 8706, &cfg));
-        let disabled = run_on(&prep_b, rel, &mut fresh());
-        let mut device = fresh();
-        let (_, use_a) = run(&prep_a, &rel, &mut device, Some(&store)).expect("no fault plan");
-        assert_eq!(use_a.expect("store attached").hits, 0);
-        let (warm, use_b) = run(&prep_b, &rel, &mut device, Some(&store)).expect("no fault plan");
-        assert!(
-            use_b.expect("store attached").hits > 0,
-            "no rel store hits on a shared-library corpus"
-        );
-        assert_eq!(warm.outcome.report.to_json(), disabled.outcome.report.to_json());
-        assert!(
-            warm.outcome.timing.idfg_ns < disabled.outcome.timing.idfg_ns,
-            "warm rel run must be faster"
-        );
-    }
-
-    #[test]
     fn cpu_kind_reports_host_store_bytes() {
         let prep = prepare_vetting(generate_app(0, 8707, &GenConfig::tiny()));
         let cpu = run_on(&prep, engine(EngineKind::Cpu), &mut fresh());
-        let rel = run_on(&prep, engine(EngineKind::Rel), &mut fresh());
+        let worklist = run_on(&prep, engine(EngineKind::Worklist), &mut fresh());
         assert!(cpu.outcome.store_bytes > 0);
-        assert_eq!(rel.outcome.store_bytes, 0);
+        assert_eq!(worklist.outcome.store_bytes, 0);
     }
 
     #[test]
@@ -346,15 +305,15 @@ mod tests {
             let persistent = Plan { exec: ExecMode::Persistent, ..plan };
             assert_eq!(persistent.validate(false).is_ok(), caps.persistent, "{kind}");
         }
-        let err = Plan { exec: ExecMode::Persistent, ..engine(EngineKind::Rel) }.validate(false);
-        assert_eq!(err, Err(PlanError::Persistent(EngineKind::Rel)));
+        let err = Plan { exec: ExecMode::Persistent, ..engine(EngineKind::Cpu) }.validate(false);
+        assert_eq!(err, Err(PlanError::Persistent(EngineKind::Cpu)));
     }
 
     #[test]
     #[should_panic(expected = "persistent")]
     fn run_rejects_an_invalid_plan() {
         let prep = prepare_vetting(generate_app(0, 8709, &GenConfig::tiny()));
-        let plan = Plan { exec: ExecMode::Persistent, ..engine(EngineKind::Rel) };
+        let plan = Plan { exec: ExecMode::Persistent, ..engine(EngineKind::Cpu) };
         let _ = run(&prep, &plan, &mut fresh(), None);
     }
 
@@ -368,7 +327,7 @@ mod tests {
     #[test]
     fn traced_engine_run_is_invariant() {
         let prep = prepare_vetting(generate_app(0, 8708, &GenConfig::tiny()));
-        for kind in [EngineKind::Worklist, EngineKind::Rel] {
+        for kind in EngineKind::ALL {
             let untraced = run_on(&prep, engine(kind), &mut fresh());
             let tracer = gdroid_trace::Tracer::enabled_new();
             let mut device = fresh();

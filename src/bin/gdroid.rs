@@ -77,16 +77,16 @@
 //! the same flags, `--engine` and `--exec`; `vet` and `campaign` also
 //! take `--targeted`. `--engine` selects how the IDFG fixpoint is
 //! computed: an `AnalysisEngine` kind behind the engine trait —
-//! `worklist` (the full-GDroid rung, also spelled `gdroid`), `rel` (the
-//! relational semi-naive GPU backend), or `cpu` (the sequential
-//! reference solver). `vet` also takes the lower worklist ladder rungs
-//! (`plain|mat|matgrp`) and the CPU baselines of Figs. 1 and 4
-//! (`mtcpu|amandroid`), which run outside the plan and take neither
-//! `--targeted` nor `--exec persistent`. A flag the verb does not take,
-//! or a plan the engine cannot run (see `gdroid engines`), exits 2. Only the full multi-launch worklist plan
-//! uses the service's result cache and co-resident batching. Facts and
-//! verdicts are byte-identical across plans — only modeled timing
-//! differs.
+//! `worklist` (the full-GDroid rung, also spelled `gdroid`) or `cpu` (the
+//! sequential reference solver, the differential oracle). `vet` also
+//! takes the lower worklist ladder rungs (`plain|mat|matgrp`) and the CPU
+//! baselines of Figs. 1 and 4 (`mtcpu|amandroid`), which run outside the
+//! plan and take neither `--targeted` nor `--exec persistent`. An unknown
+//! engine name prints the usage and exits 2, and so does a flag the verb
+//! does not take or a plan the engine cannot run (see `gdroid engines`).
+//! Only the full multi-launch worklist plan uses the service's result
+//! cache and co-resident batching. Facts and verdicts are byte-identical
+//! across plans — only modeled timing differs.
 //!
 //! `--exec persistent` switches the worklist engine to the
 //! persistent-kernel mode: each app's whole fixpoint runs as one
@@ -143,7 +143,7 @@ fn usage() -> ! {
          [--coresident C] [PLAN] [--targeted] [--sumstore] [--scale F] \
          [--snapshot] [--rotate N] [--shared-store] [--delta DIR] [--updates PPM[:SALT]] \
          [--journal-dir DIR] [--out FILE] [--verdicts FILE] [--trace-dir DIR] [--fresh] [--json]\n\
-         PLAN: [--engine gdroid|worklist|rel|cpu] [--exec multi|persistent]"
+         PLAN: [--engine gdroid|worklist|cpu] [--exec multi|persistent]"
     );
     exit(2)
 }
@@ -176,7 +176,7 @@ fn parse_plan(args: &[String], verb: &str, store: bool) -> Plan {
         plan.exec = ExecMode::parse(s).unwrap_or_else(|| usage());
     }
     if verb != "vet" && plan.opts != OptConfig::gdroid() {
-        eprintln!("{verb} runs the gdroid rung: --engine takes gdroid|worklist|rel|cpu");
+        eprintln!("{verb} runs the gdroid rung: --engine takes gdroid|worklist|cpu");
         exit(2);
     }
     if plan.targeted && !matches!(verb, "vet" | "campaign") {

@@ -3,7 +3,7 @@
 //! analysis results the rest of the stack depends on.
 
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
-use gdroid::core::{EngineKind, ExecMode, OptConfig};
+use gdroid::core::{ExecMode, OptConfig};
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::sumstore::SumStore;
 use gdroid::trace::{Phase, Tracer};
@@ -105,49 +105,44 @@ fn gpu_events_nest_inside_the_idfg_stage() {
     }
 }
 
-/// Every valid plan of the device engines — targeted × store × exec —
-/// traces the same way: tracing never changes the outcome, the device's
-/// launch and round spans are recorded, and the `targeted-slice` and
-/// `sumstore` instants appear exactly when the plan slices and a store
-/// is attached.
+/// Every plan of the worklist engine, the only one with device work —
+/// targeted × store × exec — traces the same way: tracing never changes
+/// the outcome, the device's launch and round spans are recorded, and the
+/// `targeted-slice` and `sumstore` instants appear exactly when the plan
+/// slices and a store is attached.
 #[test]
 fn every_plan_traces_device_work_and_its_own_instants() {
     // Apps whose sink slices are non-empty (all 26 methods, 2 of 28 and
     // 20 of 21), so targeted plans launch too.
     for index in [5usize, 32, 33] {
         let prep = corpus_app(index);
-        for engine in [EngineKind::Worklist, EngineKind::Rel] {
-            for exec in ExecMode::ALL {
-                for targeted in [false, true] {
-                    for with_store in [false, true] {
-                        let plan = Plan { engine, exec, targeted, ..Plan::default() };
-                        if plan.validate(with_store).is_err() {
-                            continue;
-                        }
-                        let label = format!("app {index} plan {} store {with_store}", plan.label());
-                        // A cold store per run, so both runs see the same store.
-                        let cold = || with_store.then(SumStore::new);
-                        let off = Tracer::disabled();
-                        let untraced = traced(&prep, &plan, &off, cold().as_ref());
-                        let on = Tracer::enabled_new();
-                        let run = traced(&prep, &plan, &on, cold().as_ref());
-                        assert_eq!(
-                            run.outcome.to_json(),
-                            untraced.outcome.to_json(),
-                            "tracing perturbed {label}"
-                        );
-                        let events = on.events();
-                        let span = |pred: &dyn Fn(&str) -> bool| {
-                            events.iter().any(|e| e.ph == Phase::Span && pred(&e.name))
-                        };
-                        assert!(span(&|n| n.contains("launch")), "no launch span: {label}");
-                        assert!(span(&|n| n.contains("round")), "no round span: {label}");
-                        let instant = |name: &str| {
-                            events.iter().any(|e| e.ph == Phase::Instant && e.name == name)
-                        };
-                        assert_eq!(instant("targeted-slice"), targeted, "{label}");
-                        assert_eq!(instant("sumstore"), with_store, "{label}");
-                    }
+        for exec in ExecMode::ALL {
+            for targeted in [false, true] {
+                for with_store in [false, true] {
+                    let plan = Plan { exec, targeted, ..Plan::default() };
+                    let label = format!("app {index} plan {} store {with_store}", plan.label());
+                    // A cold store per run, so both runs see the same store.
+                    let cold = || with_store.then(SumStore::new);
+                    let off = Tracer::disabled();
+                    let untraced = traced(&prep, &plan, &off, cold().as_ref());
+                    let on = Tracer::enabled_new();
+                    let run = traced(&prep, &plan, &on, cold().as_ref());
+                    assert_eq!(
+                        run.outcome.to_json(),
+                        untraced.outcome.to_json(),
+                        "tracing perturbed {label}"
+                    );
+                    let events = on.events();
+                    let span = |pred: &dyn Fn(&str) -> bool| {
+                        events.iter().any(|e| e.ph == Phase::Span && pred(&e.name))
+                    };
+                    assert!(span(&|n| n.contains("launch")), "no launch span: {label}");
+                    assert!(span(&|n| n.contains("round")), "no round span: {label}");
+                    let instant = |name: &str| {
+                        events.iter().any(|e| e.ph == Phase::Instant && e.name == name)
+                    };
+                    assert_eq!(instant("targeted-slice"), targeted, "{label}");
+                    assert_eq!(instant("sumstore"), with_store, "{label}");
                 }
             }
         }
